@@ -54,6 +54,16 @@ struct WorkerQueue
     }
 };
 
+/**
+ * Quiesces a worker slot's harness when the worker leaves by any exit,
+ * on the worker's own thread: the harness outlives the thread.
+ */
+struct QuiesceOnExit
+{
+    SweepHarness &machines;
+    ~QuiesceOnExit() { machines.quiesce(); }
+};
+
 } // namespace
 
 std::size_t
@@ -105,7 +115,8 @@ ParallelSweep::runCaptured()
 std::vector<workloads::KernelResult>
 ParallelSweep::run(unsigned threads)
 {
-    std::vector<PointOutcome> outcomes = execute(threads, false);
+    std::vector<SweepHarness> machines;
+    std::vector<PointOutcome> outcomes = execute(threads, false, machines);
     std::vector<workloads::KernelResult> results(outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i)
         results[i] = outcomes[i].result;
@@ -115,11 +126,20 @@ ParallelSweep::run(unsigned threads)
 std::vector<PointOutcome>
 ParallelSweep::runCaptured(unsigned threads)
 {
-    return execute(threads, true);
+    std::vector<SweepHarness> machines;
+    return execute(threads, true, machines);
 }
 
 std::vector<PointOutcome>
-ParallelSweep::execute(unsigned threads, bool capture)
+ParallelSweep::runCaptured(unsigned threads,
+                           std::vector<SweepHarness> &machines)
+{
+    return execute(threads, true, machines);
+}
+
+std::vector<PointOutcome>
+ParallelSweep::execute(unsigned threads, bool capture,
+                       std::vector<SweepHarness> &machines)
 {
     std::vector<PointOutcome> results(points_.size());
     if (points_.empty())
@@ -127,6 +147,8 @@ ParallelSweep::execute(unsigned threads, bool capture)
 
     const unsigned nworkers = static_cast<unsigned>(std::min<std::size_t>(
         std::max(1u, threads), points_.size()));
+    if (machines.size() < nworkers)
+        machines.resize(nworkers);
 
     // Completion-order streaming: results land in the merge table the
     // moment a point finishes; the observer and the progress line see
@@ -153,17 +175,24 @@ ParallelSweep::execute(unsigned threads, bool capture)
 
     // Runs one point's body, routing exceptions per mode: capture
     // records the typed per-point failure and lets the sweep continue;
-    // the default rethrows, making the failure batch-fatal.
-    auto runPoint = [&](SweepHarness &machines, std::size_t i) {
+    // the default rethrows, making the failure batch-fatal. Either way
+    // the machine of a body that threw is destroyed here, on its
+    // worker's thread: the run may have stopped anywhere.
+    auto runPoint = [&](SweepHarness &slot, std::size_t i) {
+        core::Machine *machine = nullptr;
         try {
-            results[i].result =
-                points_[i].body(machines.acquire(points_[i].config));
+            machine = &slot.acquire(points_[i].config);
+            results[i].result = points_[i].body(*machine);
             results[i].ok = true;
         } catch (const std::exception &e) {
+            if (machine != nullptr)
+                slot.discard(*machine);
             if (!capture)
                 throw;
             results[i].error = e.what();
         } catch (...) {
+            if (machine != nullptr)
+                slot.discard(*machine);
             if (!capture)
                 throw;
             results[i].error = "unknown exception";
@@ -171,11 +200,11 @@ ParallelSweep::execute(unsigned threads, bool capture)
     };
 
     if (nworkers == 1) {
-        // The serial path: one harness on the calling thread, grid
-        // order — exactly the pre-parallel benches.
-        SweepHarness machines;
+        // The serial path: slot 0 on the calling thread, grid order —
+        // exactly the pre-parallel benches.
+        QuiesceOnExit quiesce{machines[0]};
         for (std::size_t i = 0; i < points_.size(); ++i) {
-            runPoint(machines, i);
+            runPoint(machines[0], i);
             emit(i);
         }
         return results;
@@ -202,10 +231,11 @@ ParallelSweep::execute(unsigned threads, bool capture)
     std::size_t remaining = points_.size();
     std::atomic<bool> failed{false};
     auto worker = [&](unsigned self) {
-        // Worker-private machine cache: machines are built, reset, run
-        // and destroyed on this thread only (the frame pool and the
-        // scheduler's chunk cache are thread-local).
-        SweepHarness machines;
+        // The slot's harness is this worker's alone for the run; its
+        // machines' frames come from this thread's pool, so they are
+        // quiesced before the thread ends (see the file comment).
+        SweepHarness &slot = machines[self];
+        QuiesceOnExit quiesce{slot};
         while (!failed.load(std::memory_order_relaxed)) {
             std::optional<std::size_t> job = queues[self].popOwn();
             for (unsigned v = 1; !job && v < nworkers; ++v)
@@ -219,7 +249,7 @@ ParallelSweep::execute(unsigned threads, bool capture)
                 return;
             }
             try {
-                runPoint(machines, *job);
+                runPoint(slot, *job);
                 // Inside the try: an observer that throws must stop
                 // the sweep like a failing body, not terminate the
                 // process from a worker thread (in capture mode the

@@ -7,9 +7,11 @@
  * the table printed at the end. ParallelSweep lets a bench declare
  * that grid up front and fans it out over N host threads:
  *
- *   - each worker owns a private SweepHarness (machine cache), so
- *     Machine reuse via reset() keeps working per worker; the frame
- *     pool and scheduler chunk caches are already thread-local;
+ *   - each worker slot runs on a SweepHarness (machine cache) lent
+ *     by the caller, so Machine reuse via reset() keeps working per
+ *     worker. run() lends harnesses that live for that run only; a
+ *     long-lived caller (SweepService) lends the same harnesses to
+ *     every batch, so machines outlive the batch that built them;
  *   - points are block-distributed over per-worker job queues and
  *     idle workers steal from the tail of a victim's queue, so a grid
  *     of wildly uneven point costs (256-core points next to 16-core
@@ -34,8 +36,14 @@
  * through a scan race — with thousands-of-point grids this keeps idle
  * workers asleep, not rescanning.
  *
+ * Lent machines cross threads between runs (slot k is a new thread
+ * every run), but coroutine frames come from thread-local arenas. So
+ * before a worker exits it destroys every machine whose body threw
+ * and quiesces the rest (SweepHarness::quiesce): a machine that stops
+ * with live roots is reset on the thread that allocated its frames.
+ *
  * Thread count: WISYNC_SWEEP_THREADS, default = hardware concurrency;
- * 1 reproduces the serial path exactly (one SweepHarness on the
+ * 1 reproduces the serial path exactly (slot 0's harness on the
  * calling thread, no workers spawned).
  */
 
@@ -55,6 +63,8 @@ class Machine;
 }
 
 namespace wisync::harness {
+
+class SweepHarness;
 
 /**
  * One grid point: the machine to prepare (built fresh or served by
@@ -165,12 +175,22 @@ class ParallelSweep
     /** runCaptured(threads()) — the environment-selected width. */
     std::vector<PointOutcome> runCaptured();
 
+    /**
+     * runCaptured() on machines lent by the caller: worker slot k
+     * acquires from @p machines[k] (the vector grows to the worker
+     * count), so machines kept from earlier runs are served by reset.
+     * On return every machine in @p machines is quiesced.
+     */
+    std::vector<PointOutcome> runCaptured(unsigned threads,
+                                          std::vector<SweepHarness> &machines);
+
     /** WISYNC_SWEEP_THREADS, default hardware concurrency (min 1). */
     static unsigned threads();
 
   private:
     /** Shared driver behind run()/runCaptured(); see their docs. */
-    std::vector<PointOutcome> execute(unsigned threads, bool capture);
+    std::vector<PointOutcome> execute(unsigned threads, bool capture,
+                                      std::vector<SweepHarness> &machines);
 
     std::vector<SweepPoint> points_;
     std::function<void(std::size_t, const workloads::KernelResult &)>

@@ -62,4 +62,20 @@ SweepHarness::acquire(const core::MachineConfig &cfg)
     return *machines_.back();
 }
 
+void
+SweepHarness::discard(const core::Machine &machine)
+{
+    std::erase_if(machines_, [&](const std::unique_ptr<core::Machine> &m) {
+        return m.get() == &machine;
+    });
+}
+
+void
+SweepHarness::quiesce()
+{
+    for (auto &m : machines_)
+        if (m->engine().liveRootCount() != 0)
+            m->reset();
+}
+
 } // namespace wisync::harness

@@ -14,6 +14,13 @@
  * Setting WISYNC_NO_REUSE=1 disables reuse (every acquire builds a
  * fresh machine); bench/run_bench.sh --sweep uses that for same-runner
  * A/B wall-time comparisons recorded in BENCH_sweep.json.
+ *
+ * A harness is not tied to a thread, but its machines' coroutine
+ * frames come from the running thread's frame pool. Whoever hands a
+ * harness to another thread (SweepService's warm pool, lent to a new
+ * set of ParallelSweep workers every batch) must first discard() any
+ * machine whose run threw and quiesce() the rest, so that no frame
+ * outlives the thread whose arena holds it.
  */
 
 #ifndef WISYNC_HARNESS_SWEEP_HH
@@ -56,8 +63,26 @@ class SweepHarness
     std::uint64_t builds() const { return builds_; }
     std::uint64_t reuses() const { return reuses_; }
 
+    /** Machines cached right now (at most capacity()). */
+    std::size_t size() const { return machines_.size(); }
+
     /** Drop every cached machine. */
     void clear() { machines_.clear(); }
+
+    /**
+     * Destroy @p machine (a machine this harness served) instead of
+     * keeping it for reuse: a run that threw may have stopped
+     * anywhere, so it is never served again.
+     */
+    void discard(const core::Machine &machine);
+
+    /**
+     * Reset every cached machine that still holds live coroutine
+     * roots (a run that stopped early), destroying those frames on the
+     * calling thread. Afterwards no cached machine owns a frame, so
+     * the harness may move to another thread.
+     */
+    void quiesce();
 
     /** Max cached shapes (WISYNC_SWEEP_CACHE, default 4). */
     static std::size_t capacity();

@@ -105,11 +105,7 @@ MemSystem::sharerList(const DirEntry &e, sim::NodeId exclude) const
 coro::VersionedEvent &
 MemSystem::watch(sim::NodeId node, sim::Addr line)
 {
-    // 16 node bits: the old << 9 packing aliased distinct (node, line)
-    // pairs from 512 cores up — a silently shared watch event, i.e.
-    // spurious (but not lost) wakeups. Host-side only either way.
-    const std::uint64_t key = (line << 16) | node;
-    return watches_[key];
+    return watches_[watchKey(node, line)];
 }
 
 void
@@ -117,7 +113,10 @@ MemSystem::invalidateL1(sim::NodeId node, sim::Addr line)
 {
     if (CacheLine *cl = l1_[node].peek(line); cl && cl->valid())
         cl->state = CohState::Invalid;
-    watch(node, line).raise();
+    // Raise only an existing watch: every waiter and every generation
+    // snapshot comes from an earlier watch() call, which created it.
+    if (coro::VersionedEvent *ev = watches_.find(watchKey(node, line)))
+        ev->raise();
 }
 
 void

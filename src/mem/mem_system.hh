@@ -347,6 +347,17 @@ class MemSystem
     /** Per-(node,line) invalidation events for spinUntil. */
     coro::VersionedEvent &watch(sim::NodeId node, sim::Addr line);
 
+    /**
+     * 16 node bits: the old << 9 packing aliased distinct (node, line)
+     * pairs from 512 cores up — a silently shared watch event, i.e.
+     * spurious (but not lost) wakeups. Host-side only either way.
+     */
+    static std::uint64_t
+    watchKey(sim::NodeId node, sim::Addr line)
+    {
+        return (line << 16) | node;
+    }
+
     /** Invalidate node's L1 copy (if any) and wake spinners. */
     void invalidateL1(sim::NodeId node, sim::Addr line);
 

@@ -10,7 +10,7 @@ namespace wisync::noc {
 namespace {
 
 /** Directional link indices relative to a node. */
-enum Dir : std::size_t { East = 0, West = 1, North = 2, South = 3 };
+enum Dir : std::uint32_t { East = 0, West = 1, North = 2, South = 3 };
 
 } // namespace
 
@@ -23,14 +23,17 @@ Mesh::Mesh(sim::Engine &engine, const MeshConfig &cfg)
         std::ceil(std::sqrt(static_cast<double>(cfg_.numNodes))));
     // Routes may pass through grid positions beyond the last populated
     // node (a non-square core count still has a full router grid), so
-    // links cover the whole width x width mesh.
+    // coordinates and links cover the whole width x width mesh.
     const std::uint32_t grid = width_ * width_;
+    coord_.reserve(grid);
+    for (std::uint32_t n = 0; n < grid; ++n)
+        coord_.push_back(Coord{n % width_, n / width_});
     links_.reserve(grid * 4);
     inject_.reserve(cfg_.numNodes);
     for (std::uint32_t n = 0; n < grid * 4; ++n)
-        links_.push_back(std::make_unique<coro::SimMutex>(engine_));
+        links_.emplace_back(engine_);
     for (std::uint32_t n = 0; n < cfg_.numNodes; ++n)
-        inject_.push_back(std::make_unique<coro::SimMutex>(engine_));
+        inject_.emplace_back(engine_);
 }
 
 void
@@ -41,9 +44,9 @@ Mesh::reset(const MeshConfig &cfg)
     WISYNC_ASSERT(cfg.linkBits > 0, "links need nonzero width");
     cfg_ = cfg;
     for (auto &link : links_)
-        link->reset();
+        link.reset();
     for (auto &port : inject_)
-        port->reset();
+        port.reset();
     stats_.reset();
 }
 
@@ -61,39 +64,19 @@ Mesh::flitsOf(std::uint32_t bits) const
     return std::max(1u, (bits + cfg_.linkBits - 1) / cfg_.linkBits);
 }
 
-std::size_t
-Mesh::linkId(sim::NodeId a, sim::NodeId b) const
+Mesh::Hop
+Mesh::nextHop(sim::NodeId cur, sim::NodeId dst) const
 {
-    if (xOf(b) == xOf(a) + 1)
-        return a * 4 + East;
-    if (xOf(b) + 1 == xOf(a))
-        return a * 4 + West;
-    if (yOf(b) + 1 == yOf(a))
-        return a * 4 + North;
-    if (yOf(b) == yOf(a) + 1)
-        return a * 4 + South;
-    WISYNC_PANIC("linkId of non-adjacent nodes %u -> %u", a, b);
-}
-
-Mesh::LinkVec
-Mesh::route(sim::NodeId src, sim::NodeId dst) const
-{
-    LinkVec path;
-    sim::NodeId cur = src;
     // X first, then Y (dimension-order routing).
-    while (xOf(cur) != xOf(dst)) {
-        const sim::NodeId next =
-            nodeAt(xOf(cur) + (xOf(dst) > xOf(cur) ? 1 : -1), yOf(cur));
-        path.push_back(static_cast<std::uint32_t>(linkId(cur, next)));
-        cur = next;
-    }
-    while (yOf(cur) != yOf(dst)) {
-        const sim::NodeId next =
-            nodeAt(xOf(cur), yOf(cur) + (yOf(dst) > yOf(cur) ? 1 : -1));
-        path.push_back(static_cast<std::uint32_t>(linkId(cur, next)));
-        cur = next;
-    }
-    return path;
+    const Coord c = coord_[cur];
+    const Coord d = coord_[dst];
+    if (d.x > c.x)
+        return {cur + 1, cur * 4 + East};
+    if (d.x < c.x)
+        return {cur - 1, cur * 4 + West};
+    if (d.y < c.y)
+        return {cur - width_, cur * 4 + North};
+    return {cur + width_, cur * 4 + South};
 }
 
 /**
@@ -147,8 +130,8 @@ class Mesh::FastTransfer
     void
     step()
     {
-        const sim::NodeId next = mesh_.nextHop(cur_, dst_);
-        coro::SimMutex &link = *mesh_.links_[mesh_.linkId(cur_, next)];
+        const Hop hop = mesh_.nextHop(cur_, dst_);
+        coro::SimMutex &link = mesh_.links_[hop.link];
         // The link is busy until the tail flit crosses it (the same
         // window transferAlong's scheduleUnlock(flits) would hold).
         if (!link.tryReserve(mesh_.engine_.now() + flits_)) {
@@ -156,13 +139,12 @@ class Mesh::FastTransfer
             // coroutine, whose first lock attempt enqueues here — in
             // this very event — exactly as the slow path's would.
             mesh_.stats_.fastpathFallbacks.inc();
-            coro::spawnInline(
-                mesh_.engine_,
-                mesh_.transferAlong(mesh_.route(cur_, dst_), flits_),
-                [this] { caller_.resume(); });
+            coro::spawnInline(mesh_.engine_,
+                              mesh_.transferAlong(cur_, dst_, flits_),
+                              [this] { caller_.resume(); });
             return;
         }
-        cur_ = next;
+        cur_ = hop.next;
         if (cur_ == dst_)
             mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, FinishFn{this});
         else
@@ -190,17 +172,19 @@ class Mesh::FastTransfer
 };
 
 coro::Task<void>
-Mesh::transferAlong(LinkVec path, std::uint32_t flits)
+Mesh::transferAlong(sim::NodeId cur, sim::NodeId dst, std::uint32_t flits)
 {
-    for (const auto link : path) {
-        co_await links_[link]->lock();
+    while (cur != dst) {
+        const Hop hop = nextHop(cur, dst);
+        co_await links_[hop.link].lock();
         // The link stays busy until the tail flit crosses it; the head
         // moves on in parallel. Freeing on a timer (rather than when
         // the head secures the next hop) models routers with enough
         // buffering to absorb a blocked message — optimistic under
         // heavy congestion, exact otherwise.
-        links_[link]->scheduleUnlock(flits);
+        links_[hop.link].scheduleUnlock(flits);
         co_await coro::delay(engine_, cfg_.hopCycles);
+        cur = hop.next;
     }
     if (flits > 1)
         co_await coro::delay(engine_, flits - 1);
@@ -223,7 +207,7 @@ Mesh::send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
         // through the ready ring — a different same-cycle grant order.
         co_await FastTransfer(*this, src, dst, flits);
     } else {
-        co_await transferAlong(route(src, dst), flits);
+        co_await transferAlong(src, dst, flits);
     }
     stats_.latency.sample(static_cast<double>(engine_.now() - start));
 }
@@ -255,15 +239,12 @@ Mesh::treeDeliver(sim::NodeId cur, NodeVec dsts, std::uint32_t flits)
 
     sim::InlineVec<coro::Task<void>, 4> branches;
     auto descend = [&](NodeVec group) -> coro::Task<void> {
-        const sim::NodeId next =
-            xOf(group.front()) > xOf(cur)   ? nodeAt(xOf(cur) + 1, yOf(cur))
-            : xOf(group.front()) < xOf(cur) ? nodeAt(xOf(cur) - 1, yOf(cur))
-            : yOf(group.front()) < yOf(cur) ? nodeAt(xOf(cur), yOf(cur) - 1)
-                                            : nodeAt(xOf(cur), yOf(cur) + 1);
-        co_await links_[linkId(cur, next)]->lock();
-        links_[linkId(cur, next)]->scheduleUnlock(flits);
+        // Every node of a branch shares its first XY step.
+        const Hop hop = nextHop(cur, group.front());
+        co_await links_[hop.link].lock();
+        links_[hop.link].scheduleUnlock(flits);
         co_await coro::delay(engine_, cfg_.hopCycles);
-        co_await treeDeliver(next, std::move(group), flits);
+        co_await treeDeliver(hop.next, std::move(group), flits);
     };
     if (!east.empty())
         branches.push_back(descend(std::move(east)));
@@ -309,9 +290,9 @@ Mesh::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
     sim::InlineVec<coro::Task<void>, 8> sends;
     sends.reserve(dsts.size());
     auto one = [this, src, bits](sim::NodeId dst) -> coro::Task<void> {
-        co_await inject_[src]->lock();
+        co_await inject_[src].lock();
         co_await coro::delay(engine_, 1);
-        inject_[src]->unlock();
+        inject_[src].unlock();
         co_await send(src, dst, bits);
     };
     for (const auto d : dsts)

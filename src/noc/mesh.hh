@@ -39,7 +39,6 @@
 #define WISYNC_NOC_MESH_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -96,8 +95,6 @@ struct MeshStats
 class Mesh
 {
   public:
-    /** XY routes fit inline up to a 17-wide grid (2*(width-1) hops). */
-    using LinkVec = sim::InlineVec<std::uint32_t, 32>;
     /** Destination lists fit inline up to the Table 1 64-node chip. */
     using NodeVec = sim::InlineVec<sim::NodeId, 64>;
 
@@ -144,35 +141,35 @@ class Mesh
     void reset(const MeshConfig &cfg);
 
   private:
-    std::uint32_t xOf(sim::NodeId n) const { return n % width_; }
-    std::uint32_t yOf(sim::NodeId n) const { return n / width_; }
-    sim::NodeId nodeAt(std::uint32_t x, std::uint32_t y) const
+    /** A router's grid position (tabled once: no per-hop division). */
+    struct Coord
     {
-        return y * width_ + x;
-    }
+        std::uint32_t x;
+        std::uint32_t y;
+    };
+
+    /** One XY-route step: the next router and the link to it. */
+    struct Hop
+    {
+        sim::NodeId next;
+        /** Directional link id, cur * 4 + direction. */
+        std::uint32_t link;
+    };
+
+    std::uint32_t xOf(sim::NodeId n) const { return coord_[n].x; }
+    std::uint32_t yOf(sim::NodeId n) const { return coord_[n].y; }
 
     std::uint32_t flitsOf(std::uint32_t bits) const;
 
-    /** Directional link id from node @p a to adjacent node @p b. */
-    std::size_t linkId(sim::NodeId a, sim::NodeId b) const;
-
-    /** Next node on the XY route from @p cur toward @p dst. */
-    sim::NodeId
-    nextHop(sim::NodeId cur, sim::NodeId dst) const
-    {
-        if (xOf(cur) != xOf(dst))
-            return nodeAt(xOf(cur) + (xOf(dst) > xOf(cur) ? 1 : -1),
-                          yOf(cur));
-        return nodeAt(xOf(cur), yOf(cur) + (yOf(dst) > yOf(cur) ? 1 : -1));
-    }
-
-    /** XY route as a list of directional link ids. */
-    LinkVec route(sim::NodeId src, sim::NodeId dst) const;
+    /** Next step on the XY route from @p cur toward @p dst != cur. */
+    Hop nextHop(sim::NodeId cur, sim::NodeId dst) const;
 
     /** Frameless uncontended-transfer driver (awaiter; see mesh.cc). */
     class FastTransfer;
 
-    coro::Task<void> transferAlong(LinkVec path, std::uint32_t flits);
+    /** Wormhole transfer of the XY route from @p cur to @p dst. */
+    coro::Task<void> transferAlong(sim::NodeId cur, sim::NodeId dst,
+                                   std::uint32_t flits);
 
     /** Tail-flit arrival delay (flits-1 cycles). */
     coro::Task<void> tailDelay(std::uint32_t flits);
@@ -184,10 +181,13 @@ class Mesh
     sim::Engine &engine_;
     MeshConfig cfg_;
     std::uint32_t width_;
-    /** One FIFO mutex per directional link; index = linkId. */
-    std::vector<std::unique_ptr<coro::SimMutex>> links_;
+    /** Grid position of every router, index = node id. */
+    std::vector<Coord> coord_;
+    /** One FIFO mutex per directional link; index = Hop::link. Built
+     *  once at full size, so the mutexes never move. */
+    std::vector<coro::SimMutex> links_;
     /** Per-node injection port (serial multicast pacing). */
-    std::vector<std::unique_ptr<coro::SimMutex>> inject_;
+    std::vector<coro::SimMutex> inject_;
     MeshStats stats_;
 };
 

@@ -61,6 +61,11 @@ buildResponse(const DaemonOptions &opt, std::size_t total_points,
            jsonNumber(std::uint64_t(stats.simulated)) +
            ",\"cacheHits\":" + jsonNumber(std::uint64_t(stats.cacheHits)) +
            ",\"errors\":" + jsonNumber(std::uint64_t(stats.errors)) + "}";
+    // Host telemetry stays out of "stats": it depends on the machine
+    // pool's history and the host, not only on the request.
+    out += ",\"telemetry\":{\"builds\":" + jsonNumber(stats.builds) +
+           ",\"resets\":" + jsonNumber(stats.resets) +
+           ",\"hostMs\":" + jsonNumber(stats.hostMs) + "}";
     out += ",\"cache\":{\"hits\":" + jsonNumber(cs.hits) +
            ",\"misses\":" + jsonNumber(cs.misses) +
            ",\"insertions\":" + jsonNumber(cs.insertions) +

@@ -1,5 +1,6 @@
 #include "service/sweep_service.hh"
 
+#include <chrono>
 #include <unordered_map>
 #include <utility>
 
@@ -17,6 +18,7 @@ std::vector<ServiceOutcome>
 SweepService::runBatch(const SweepRequest &request, unsigned threads,
                        const Observer &observer)
 {
+    const auto start = std::chrono::steady_clock::now();
     const std::size_t n = request.points.size();
     std::vector<ServiceOutcome> outcomes(n);
     BatchStats stats;
@@ -117,7 +119,24 @@ SweepService::runBatch(const SweepRequest &request, unsigned threads,
                 observer(d, dup);
         }
     });
-    (void)sweep.runCaptured(threads);
+    // Pool telemetry: builds and resets summed over every slot, before
+    // and after (runCaptured grows the pool to the worker count).
+    auto poolTotals = [this] {
+        std::pair<std::uint64_t, std::uint64_t> total{0, 0};
+        for (const harness::SweepHarness &h : machines_) {
+            total.first += h.builds();
+            total.second += h.reuses();
+        }
+        return total;
+    };
+    const auto before = poolTotals();
+    (void)sweep.runCaptured(threads, machines_);
+    const auto after = poolTotals();
+    stats.builds = after.first - before.first;
+    stats.resets = after.second - before.second;
+    stats.hostMs = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
 
     lastBatch_ = stats;
     return outcomes;

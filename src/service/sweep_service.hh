@@ -16,6 +16,11 @@
  *  - the remaining unique misses batch through ParallelSweep's
  *    work-stealing workers, with per-point failures captured as
  *    typed outcomes (runCaptured) instead of killing the batch;
+ *  - those workers run on a warm machine pool that outlives the
+ *    batch: one SweepHarness per worker slot, so a later batch serves
+ *    its points by Machine::reset instead of building machines. The
+ *    pool keeps at most SweepHarness::capacity() shapes per slot;
+ *    WISYNC_NO_REUSE=1 still builds every point;
  *  - results stream to the caller's observer as points complete and
  *    the returned vector is in request order regardless of
  *    completion, thread count or cache state.
@@ -36,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/sweep.hh"
 #include "service/config_codec.hh"
 #include "service/result_cache.hh"
 #include "workloads/kernel_result.hh"
@@ -68,6 +74,15 @@ struct BatchStats
     std::size_t cacheHits = 0;
     /** Points that failed with a captured error. */
     std::size_t errors = 0;
+
+    // Host telemetry: how the batch ran, not what it computed. These
+    // depend on the pool's history and the host, never on a result.
+    /** Machines built for this batch. */
+    std::uint64_t builds = 0;
+    /** Points served by resetting a pooled machine. */
+    std::uint64_t resets = 0;
+    /** Host wall time of the batch, milliseconds. */
+    double hostMs = 0;
 };
 
 /** See the file comment. */
@@ -117,6 +132,13 @@ class SweepService
     /** Accounting for the most recent runBatch call. */
     const BatchStats &lastBatch() const { return lastBatch_; }
 
+    /** The warm machine pool, one harness per worker slot so far. */
+    const std::vector<harness::SweepHarness> &
+    machinePool() const
+    {
+        return machines_;
+    }
+
     /**
      * Fault-injection seam (FaultPlan / tests): called on the worker
      * thread at the start of every *simulated* point's body — cache
@@ -133,6 +155,9 @@ class SweepService
     ResultCache cache_;
     BatchStats lastBatch_;
     BodyProbe bodyProbe_;
+    /** The warm machine pool: one harness per worker slot, lent to
+     *  every batch's sweep (see the file comment). */
+    std::vector<harness::SweepHarness> machines_;
 };
 
 } // namespace wisync::service

@@ -67,7 +67,17 @@ ToneChannel::dealloc(sim::BmAddr addr)
     Barrier *b = find(addr);
     if (!b)
         return;
-    WISYNC_ASSERT(!b->active, "deallocating an active tone barrier");
+    // A barrier is still active at its owner's teardown only when the
+    // run was abandoned (deadline or run limit) with participants
+    // parked on it: withdraw it, the machine is reset before it runs
+    // again. With every thread finished it is a model error.
+    WISYNC_ASSERT(!b->active || engine_.liveRootCount() != 0,
+                  "deallocating an active tone barrier");
+    if (b->active) {
+        b->active = false;
+        std::erase(activeOrder_,
+                   static_cast<std::size_t>(b - allocB_.data()));
+    }
     b->used = false;
     // Paper: entries below the removed one shift up; slot order is the
     // array order of `used` entries, so clearing the flag suffices.

@@ -803,6 +803,28 @@ TEST(ServiceDeadline, DeadlinePointIsATypedIsolatedDeterministicError)
     }
 }
 
+TEST(ServiceDeadline, DeadlineDuringAnActiveToneBarrierIsATypedError)
+{
+    // At cycle 400 this run has a tone barrier active with threads
+    // parked on it; tearing the workload down must not trip the tone
+    // channel's active-barrier check, which would kill the daemon.
+    RequestPoint p;
+    p.config = MachineConfig::make(ConfigKind::WiSync, 64);
+    p.config.numChips = 2;
+    p.config.seed = 7;
+    p.workload.tightLoop.iterations = 100000;
+    p.workload.tightLoop.arrayElems = 10;
+    p.workload.maxCycles = 400;
+    SweepRequest request;
+    request.points.push_back(p);
+    SweepService svc(0);
+    const auto got = svc.runBatch(request, 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_FALSE(got[0].ok);
+    EXPECT_NE(got[0].error.find("at cycle 400"), std::string::npos)
+        << got[0].error;
+}
+
 // ---- Cost-weighted shard planning -------------------------------
 
 /** Alternating heavy/light grid: strided sharding with k matching
