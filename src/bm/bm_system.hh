@@ -56,6 +56,7 @@
 #include "coro/task.hh"
 #include "noc/chip_bridge.hh"
 #include "sim/engine.hh"
+#include "sim/fields.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -79,8 +80,19 @@ struct BmConfig
     /** AllocB/ActiveB capacity for tone barriers. */
     std::uint32_t allocSlots = 16;
 
-    /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const BmConfig &) const = default;
+
+    /** The field list (sim/fields.hh). */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        v(sim::field("bmBytes", self.bmBytes, 8, UINT32_MAX, sim::kShape));
+        v(sim::field("bmRtCycles", self.bmRtCycles, sim::kNoFlags));
+        v(sim::field("rmwModifyCycles", self.rmwModifyCycles,
+                     sim::kNoFlags));
+        v(sim::field("allocSlots", self.allocSlots, sim::kShape));
+    }
 
     std::uint32_t words() const { return bmBytes / 8; }
 };

@@ -6,14 +6,23 @@
 
 namespace wisync::core {
 
+namespace {
+
+/** Backstop for configs that bypassed the codec: the service rejects
+ *  the same issues as typed request errors before they get here. */
+void
+requireValid(const MachineConfig &cfg)
+{
+    if (const auto issue = validate(cfg))
+        WISYNC_FATAL("invalid MachineConfig: %s: %s", issue->field.c_str(),
+                     issue->message.c_str());
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
 {
-    WISYNC_FATAL_IF(cfg_.mesh.numNodes != cfg_.numCores,
-                    "mesh size must equal core count (use "
-                    "MachineConfig::make)");
-    WISYNC_FATAL_IF(cfg_.numChips == 0 ||
-                        cfg_.numCores % cfg_.numChips != 0,
-                    "numCores must divide evenly among chips");
+    requireValid(cfg_);
     mesh_ = std::make_unique<noc::Mesh>(engine_, cfg_.mesh);
     mem_ = std::make_unique<mem::MemSystem>(engine_, *mesh_, memory_,
                                             cfg_.numCores, cfg_.mem);
@@ -48,9 +57,7 @@ Machine::reset(const MachineConfig &cfg)
     WISYNC_FATAL_IF(!cfg.compatibleShape(cfg_),
                     "Machine::reset requires a shape-compatible config "
                     "(same kind/cores/cache/BM geometry)");
-    WISYNC_FATAL_IF(cfg.numChips == 0 ||
-                        cfg.numCores % cfg.numChips != 0,
-                    "numCores must divide evenly among chips");
+    requireValid(cfg);
     cfg_ = cfg;
     // Engine first: destroys live thread/transaction frames (whose
     // teardown may touch subsystem mutexes) and drops every pending

@@ -1,9 +1,6 @@
 #include "core/machine_config.hh"
 
-#include <bit>
 #include <cstdio>
-
-#include "sim/logging.hh"
 
 namespace wisync::core {
 
@@ -44,7 +41,6 @@ toString(Variant variant)
 MachineConfig
 MachineConfig::make(ConfigKind kind, std::uint32_t cores, Variant variant)
 {
-    WISYNC_FATAL_IF(cores == 0, "need at least one core");
     MachineConfig cfg;
     cfg.kind = kind;
     cfg.variant = variant;
@@ -78,127 +74,37 @@ MachineConfig::compatibleShape(const MachineConfig &other) const
     // kind is deliberately NOT structural: every machine carries the
     // full wired + wireless substrate, and reset() re-gates it, so a
     // sweep over the four kinds reuses one machine per core count.
-    return numCores == other.numCores &&
-           mesh.numNodes == other.mesh.numNodes &&
-           mem.lineBytes == other.mem.lineBytes &&
-           mem.l1SizeBytes == other.mem.l1SizeBytes &&
-           mem.l1Assoc == other.mem.l1Assoc &&
-           mem.l2BankSizeBytes == other.mem.l2BankSizeBytes &&
-           mem.l2Assoc == other.mem.l2Assoc &&
-           mem.numMemCtrls == other.mem.numMemCtrls &&
-           mem.dramOutstanding == other.mem.dramOutstanding &&
-           bm.bmBytes == other.bm.bmBytes &&
-           bm.allocSlots == other.bm.allocSlots;
+    return sim::sameFields(*this, other, sim::kShape, sim::kNoFlags);
 }
-
-namespace {
-
-/**
- * FNV-1a over a canonical little-endian byte stream. Every field is
- * widened to a fixed 8-byte representation first, so the fingerprint
- * never depends on host struct layout, padding or endianness of
- * in-memory representations — only on the declared field order below.
- */
-struct Fnv1a
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 0x100000001B3ull;
-        }
-    }
-    void dbl(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void b(bool v) { u64(v ? 1 : 0); }
-};
-
-} // namespace
 
 std::uint64_t
 MachineConfig::fingerprint() const
 {
-    Fnv1a f;
-    // Version tag: kFingerprintVersion is bumped when the stream
-    // layout below changes, so stale persisted fingerprints (the
-    // on-disk result cache) can never alias a new layout.
-    f.u64(0x5753464700ull + kFingerprintVersion); // "WSFG" NN
+    // "WSFG" NN: the version tag leads the stream, so stale persisted
+    // fingerprints (the on-disk result cache) never alias a new layout.
+    return sim::fieldFingerprint(*this, 0x5753464700ull + kFingerprintVersion);
+}
 
-    f.u64(static_cast<std::uint64_t>(kind));
-    f.u64(static_cast<std::uint64_t>(variant));
-    f.u64(numCores);
-    f.u64(numChips);
-    f.u64(issueWidth);
-    f.u64(seed);
-
-    f.u64(mem.lineBytes);
-    f.u64(mem.l1SizeBytes);
-    f.u64(mem.l1Assoc);
-    f.u64(mem.l1RtCycles);
-    f.u64(mem.l2BankSizeBytes);
-    f.u64(mem.l2Assoc);
-    f.u64(mem.l2RtCycles);
-    f.u64(mem.dramRtCycles);
-    f.u64(mem.numMemCtrls);
-    f.u64(mem.dramOutstanding);
-    f.u64(mem.ctrlBits);
-    f.u64(mem.dataBits);
-    f.b(mem.fastpath);
-
-    f.u64(mesh.numNodes);
-    f.u64(mesh.hopCycles);
-    f.u64(mesh.linkBits);
-    f.b(mesh.treeMulticast);
-    f.b(mesh.fastpath);
-
-    f.u64(wireless.dataCycles);
-    f.u64(wireless.bulkCycles);
-    f.u64(wireless.collisionCycles);
-    f.b(wireless.fastpath);
-    f.dbl(wireless.lossPct);
-    f.b(wireless.berFromSnr);
-    f.dbl(wireless.txPowerDbm);
-    f.u64(wireless.ackTimeoutCycles);
-    f.u64(wireless.maxRetries);
-    f.u64(wireless.retryBackoffMaxExp);
-    f.b(wireless.burst.enabled);
-    f.dbl(wireless.burst.goodLossPct);
-    f.dbl(wireless.burst.badLossPct);
-    f.dbl(wireless.burst.pGoodToBad);
-    f.dbl(wireless.burst.pBadToGood);
-    f.dbl(wireless.channelLossBaseDb);
-    f.dbl(wireless.channelLossStepDb);
-    f.u64(wireless.spectrumSlots);
-    f.u64(static_cast<std::uint64_t>(wireless.macKind));
-    f.u64(wireless.maxBackoffExp);
-    f.u64(wireless.tokenPassCycles);
-    f.u64(wireless.tokenFrameBits);
-    f.u64(wireless.tokenHoldCycles);
-    f.u64(wireless.adaptWindowEvents);
-    f.u64(wireless.adaptHiPct);
-    f.u64(wireless.adaptLoPct);
-
-    f.u64(bm.bmBytes);
-    f.u64(bm.bmRtCycles);
-    f.u64(bm.rmwModifyCycles);
-    f.u64(bm.allocSlots);
-
-    f.u64(bridge.latencyCycles);
-    f.u64(bridge.widthBits);
-    f.u64(bridge.headerBits);
-    f.dbl(bridge.lossPct);
-    f.b(bridge.burst.enabled);
-    f.dbl(bridge.burst.goodLossPct);
-    f.dbl(bridge.burst.badLossPct);
-    f.dbl(bridge.burst.pGoodToBad);
-    f.dbl(bridge.burst.pBadToGood);
-    f.u64(bridge.ackTimeoutCycles);
-    f.u64(bridge.maxRetries);
-    f.u64(bridge.retryBackoffMaxExp);
-
-    return f.h;
+std::optional<ConfigIssue>
+validate(const MachineConfig &cfg)
+{
+    sim::RangeViolation bad;
+    if (sim::findRangeViolation(cfg, bad))
+        return ConfigIssue{bad.field, bad.message};
+    if (cfg.numCores % cfg.numChips != 0)
+        return ConfigIssue{"chips",
+                           "cores (" + std::to_string(cfg.numCores) +
+                               ") must divide evenly over chips (" +
+                               std::to_string(cfg.numChips) + ")"};
+    if (cfg.mesh.numNodes != cfg.numCores)
+        return ConfigIssue{"mesh.numNodes",
+                           "mesh size must equal core count (use "
+                           "MachineConfig::make)"};
+    if (cfg.wireless.collisionCycles >= cfg.wireless.dataCycles)
+        return ConfigIssue{"wireless.collisionCycles",
+                           "collision penalty must be below full transfer "
+                           "time"};
+    return std::nullopt;
 }
 
 std::string

@@ -7,12 +7,14 @@
 #define WISYNC_CORE_MACHINE_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "bm/bm_system.hh"
 #include "mem/mem_system.hh"
 #include "noc/chip_bridge.hh"
 #include "noc/mesh.hh"
+#include "sim/fields.hh"
 #include "wireless/data_channel.hh"
 
 namespace wisync::core {
@@ -104,11 +106,11 @@ struct MachineConfig
 
     /**
      * True when a Machine built from this config can be reused for
-     * @p other via Machine::reset: the same structural geometry (core
-     * count, cache/BM capacities, controller counts). The kind,
-     * timing knobs, seed and issue width may differ freely — reset()
-     * re-applies them (the wireless substrate is always built and
-     * merely gated per kind).
+     * @p other via Machine::reset: the same structural geometry (the
+     * kShape fields: core count, cache/BM capacities, controller
+     * counts). The kind, timing knobs, seed and issue width may differ
+     * freely — reset() re-applies them (the wireless substrate is
+     * always built and merely gated per kind).
      */
     bool compatibleShape(const MachineConfig &other) const;
 
@@ -121,33 +123,73 @@ struct MachineConfig
     bool operator==(const MachineConfig &) const = default;
 
     /**
-     * Canonical 64-bit fingerprint of the whole config: FNV-1a over a
-     * fixed-order, fixed-width serialization of every field (doubles
-     * by bit pattern). Process-stable and run-stable — no addresses,
-     * no unordered iteration — so it can key the service ResultCache,
-     * name shard work items across worker processes, and be compared
-     * between hosts. operator== equal configs always fingerprint
-     * equal; the service additionally verifies equality on cache hits
-     * so a (astronomically unlikely) 64-bit collision degrades to a
-     * miss, never a wrong result. Adding a MachineConfig field
-     * requires extending the fingerprint stream in machine_config.cc
-     * (the FuzzSweepService tests catch a field that changes results
-     * without changing the fingerprint).
+     * Canonical 64-bit fingerprint of the whole config: FNV-1a over
+     * every field of visitFields(), in declaration order, each widened
+     * to 8 bytes (doubles by bit pattern). Process-stable and
+     * run-stable — no addresses, no unordered iteration — so it can
+     * key the service ResultCache, name shard work items across worker
+     * processes, and be compared between hosts. operator== equal
+     * configs always fingerprint equal; the service additionally
+     * verifies equality on cache hits so a (astronomically unlikely)
+     * 64-bit collision degrades to a miss, never a wrong result.
      */
     std::uint64_t fingerprint() const;
 
     /**
-     * Version of the fingerprint stream layout. Bumped whenever the
-     * field stream in machine_config.cc changes shape, so anything
-     * persisted under an old layout (the on-disk result cache) can
-     * never alias a new one. Folded into the stream's leading tag and
-     * into service::CacheStore's file-format version.
+     * Version of the fingerprint stream layout. A new knob is declared
+     * once, appended at the end of its record's visitFields(); moving
+     * or removing an entry changes the stream and must bump this, so
+     * anything persisted under an old layout (the on-disk result
+     * cache) can never alias a new one. Folded into the stream's
+     * leading tag and into service::CacheStore's file-format version.
      */
     static constexpr std::uint64_t kFingerprintVersion = 1;
+
+    /**
+     * The field list (sim/fields.hh): the fingerprint stream, the
+     * service codec's keys, the validated ranges and the reset shape.
+     * Cores are capped at a kilocore package; the cross-field rules
+     * (cores divide over chips, ...) live in validate().
+     */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        constexpr auto kJson = sim::kJson;
+        v(sim::field("kind", self.kind, ConfigKind::Baseline,
+                     ConfigKind::WiSync, kJson));
+        v(sim::field("variant", self.variant, Variant::Default,
+                     Variant::SlowBmem, kJson));
+        v(sim::field("cores", self.numCores, 1, 1024, kJson | sim::kShape));
+        v(sim::field("chips", self.numChips, 1, 1024, kJson));
+        v(sim::field("issueWidth", self.issueWidth, 1, UINT32_MAX, kJson));
+        v(sim::field("seed", self.seed, kJson));
+        v(sim::group("mem", self.mem, sim::kNoFlags));
+        v(sim::group("mesh", self.mesh, sim::kNoFlags));
+        v(sim::group("wireless", self.wireless, kJson));
+        v(sim::group("bm", self.bm, sim::kNoFlags));
+        v(sim::group("bridge", self.bridge, kJson));
+    }
 
     /** Human-readable one-liner for harness output. */
     std::string describe() const;
 };
+
+/** The first constraint a config breaks: its field path and why. */
+struct ConfigIssue
+{
+    /** Dotted JSON-name path, e.g. "wireless.burst.pGoodToBad". */
+    std::string field;
+    std::string message;
+};
+
+/**
+ * The one config validator: every field inside its declared range,
+ * then the cross-field rules. The service codec turns an issue into a
+ * ParseError; Machine's constructor and reset() treat one as fatal.
+ * @return the first issue in declaration order, or nullopt.
+ */
+std::optional<ConfigIssue> validate(const MachineConfig &cfg);
 
 } // namespace wisync::core
 

@@ -44,6 +44,7 @@
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
 #include "sim/env.hh"
+#include "sim/fields.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -69,8 +70,32 @@ struct MemConfig
     /** Frameless L1-hit fast path (host-time only; cycle-exact). */
     bool fastpath = sim::fastpathDefault();
 
-    /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const MemConfig &) const = default;
+
+    /** The field list (sim/fields.hh). Geometry sizes the cache and
+     *  directory arrays, so it is the Machine's shape. */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        v(sim::field("lineBytes", self.lineBytes, 1, UINT32_MAX, sim::kShape));
+        v(sim::field("l1SizeBytes", self.l1SizeBytes, 1, UINT32_MAX,
+                     sim::kShape));
+        v(sim::field("l1Assoc", self.l1Assoc, 1, UINT32_MAX, sim::kShape));
+        v(sim::field("l1RtCycles", self.l1RtCycles, sim::kNoFlags));
+        v(sim::field("l2BankSizeBytes", self.l2BankSizeBytes, 1, UINT32_MAX,
+                     sim::kShape));
+        v(sim::field("l2Assoc", self.l2Assoc, 1, UINT32_MAX, sim::kShape));
+        v(sim::field("l2RtCycles", self.l2RtCycles, sim::kNoFlags));
+        v(sim::field("dramRtCycles", self.dramRtCycles, sim::kNoFlags));
+        v(sim::field("numMemCtrls", self.numMemCtrls, 1, UINT32_MAX,
+                     sim::kShape));
+        v(sim::field("dramOutstanding", self.dramOutstanding, 1, UINT32_MAX,
+                     sim::kShape));
+        v(sim::field("ctrlBits", self.ctrlBits, sim::kNoFlags));
+        v(sim::field("dataBits", self.dataBits, sim::kNoFlags));
+        v(sim::field("fastpath", self.fastpath, sim::kNoFlags));
+    }
 };
 
 /** Result of a compare-and-swap. */

@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "sim/engine.hh"
+#include "sim/fields.hh"
 #include "sim/function.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -71,8 +71,31 @@ struct BridgeConfig
     /** Cap on the bounded exponential retransmission backoff. */
     std::uint32_t retryBackoffMaxExp = 6;
 
-    /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const BridgeConfig &) const = default;
+
+    /**
+     * The field list (sim/fields.hh). Widths are capped so a frame's
+     * bit count and its serialization round-up fit 32 bits; cycle
+     * knobs and the backoff exponent so no wait overflows a cycle.
+     */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        constexpr auto kJson = sim::kJson;
+        constexpr sim::Cycle kMaxWait = sim::Cycle{1} << 32;
+        v(sim::field("latencyCycles", self.latencyCycles, 0, kMaxWait,
+                     kJson));
+        v(sim::field("widthBits", self.widthBits, 1, 65536, kJson));
+        v(sim::field("headerBits", self.headerBits, 0, 65536, kJson));
+        v(sim::field("lossPct", self.lossPct, 0.0, 100.0, kJson));
+        v(sim::group("burst", self.burst, kJson));
+        v(sim::field("ackTimeoutCycles", self.ackTimeoutCycles, 0, kMaxWait,
+                     kJson));
+        v(sim::field("maxRetries", self.maxRetries, kJson));
+        v(sim::field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32,
+                     kJson));
+    }
 };
 
 /** Bridge statistics. */
@@ -102,9 +125,7 @@ class ChipBridge
   public:
     ChipBridge(sim::Engine &engine, const BridgeConfig &cfg)
         : engine_(engine), cfg_(cfg)
-    {
-        validate(cfg_);
-    }
+    {}
 
     /**
      * Ship a frame of @p payload_bits. Serialization starts when the
@@ -181,7 +202,6 @@ class ChipBridge
     void
     reset(const BridgeConfig &cfg)
     {
-        validate(cfg);
         cfg_ = cfg;
         nextFree_ = 0;
         stats_.reset();
@@ -204,22 +224,6 @@ class ChipBridge
         sim::UniqueFunction deliver;
     };
 
-    static void
-    validate(const BridgeConfig &cfg)
-    {
-        WISYNC_ASSERT(cfg.lossPct >= 0.0 && cfg.lossPct <= 100.0,
-                      "bridge lossPct is a percentage");
-        WISYNC_ASSERT(cfg.burst.goodLossPct >= 0.0 &&
-                          cfg.burst.goodLossPct <= 100.0 &&
-                          cfg.burst.badLossPct >= 0.0 &&
-                          cfg.burst.badLossPct <= 100.0,
-                      "bridge burst state loss rates are percentages");
-        WISYNC_ASSERT(cfg.burst.pGoodToBad >= 0.0 &&
-                          cfg.burst.pGoodToBad <= 1.0 &&
-                          cfg.burst.pBadToGood >= 0.0 &&
-                          cfg.burst.pBadToGood <= 1.0,
-                      "bridge burst transition probabilities in [0, 1]");
-    }
 
     /**
      * One serialization attempt of @p f: occupy the link FIFO slot,

@@ -46,6 +46,7 @@
 #include "coro/task.hh"
 #include "sim/engine.hh"
 #include "sim/env.hh"
+#include "sim/fields.hh"
 #include "sim/inline_vec.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -65,8 +66,21 @@ struct MeshConfig
     /** Uncontended-route fast path (host-time only; cycle-exact). */
     bool fastpath = sim::fastpathDefault();
 
-    /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const MeshConfig &) const = default;
+
+    /** The field list (sim/fields.hh). */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        v(sim::field("numNodes", self.numNodes, 1, UINT32_MAX,
+                     sim::kShape));
+        v(sim::field("hopCycles", self.hopCycles, sim::kNoFlags));
+        v(sim::field("linkBits", self.linkBits, 1, UINT32_MAX,
+                     sim::kNoFlags));
+        v(sim::field("treeMulticast", self.treeMulticast, sim::kNoFlags));
+        v(sim::field("fastpath", self.fastpath, sim::kNoFlags));
+    }
 };
 
 /** Aggregated network statistics. */

@@ -1,14 +1,16 @@
 #include "service/cache_store.hh"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "core/machine_config.hh"
 #include "service/config_codec.hh"
 #include "service/json.hh"
+#include "sim/fields.hh"
+#include "sim/fnv.hh"
 
 namespace wisync::service {
 
@@ -17,17 +19,6 @@ namespace {
 constexpr std::uint64_t kMagic = 0x45524F5453435357ull; // "WSCSTORE"
 /** Bump when the record layout below changes shape. */
 constexpr std::uint64_t kLayoutVersion = 1;
-
-std::uint64_t
-fnv1a(const char *data, std::size_t n)
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
 
 /** Cheap integrity check over a record's length field alone: when it
  *  holds, the length can be trusted for framing even if the payload
@@ -70,70 +61,15 @@ getU64(const char *p)
     return v;
 }
 
-void
-putResult(std::string &out, const workloads::KernelResult &r)
-{
-    putU64(out, r.cycles);
-    putU64(out, r.completed ? 1 : 0);
-    putU64(out, r.operations);
-    putU64(out, std::bit_cast<std::uint64_t>(r.dataChannelUtilisation));
-    putU64(out, r.collisions);
-    putU64(out, r.macBackoffCycles);
-    putU64(out, r.macTokenWaits);
-    putU64(out, r.macTokenRotations);
-    putU64(out, r.macModeSwitches);
-    putU64(out, r.wirelessDrops);
-    putU64(out, r.macAckTimeouts);
-    putU64(out, r.macRetransmits);
-    putU64(out, r.macGiveups);
-    putU64(out, r.bridgeFrames);
-    putU64(out, r.bridgeBusyCycles);
-    putU64(out, r.staleRmwAborts);
-    putU64(out, r.bridgeDrops);
-    putU64(out, r.bridgeAckTimeouts);
-    putU64(out, r.bridgeRetransmits);
-    putU64(out, r.bridgeGiveups);
-    putU64(out, r.fastpathHits);
-    putU64(out, r.fastpathFallbacks);
-}
-
-workloads::KernelResult
-getResult(const char *p)
-{
-    workloads::KernelResult r;
-    std::size_t i = 0;
-    auto next = [&]() { return getU64(p + 8 * i++); };
-    r.cycles = next();
-    r.completed = next() != 0;
-    r.operations = next();
-    r.dataChannelUtilisation = std::bit_cast<double>(next());
-    r.collisions = next();
-    r.macBackoffCycles = next();
-    r.macTokenWaits = next();
-    r.macTokenRotations = next();
-    r.macModeSwitches = next();
-    r.wirelessDrops = next();
-    r.macAckTimeouts = next();
-    r.macRetransmits = next();
-    r.macGiveups = next();
-    r.bridgeFrames = next();
-    r.bridgeBusyCycles = next();
-    r.staleRmwAborts = next();
-    r.bridgeDrops = next();
-    r.bridgeAckTimeouts = next();
-    r.bridgeRetransmits = next();
-    r.bridgeGiveups = next();
-    r.fastpathHits = next();
-    r.fastpathFallbacks = next();
-    return r;
-}
+/** Result words per record: every KernelResult field, host telemetry
+ *  included, in declaration order (fixed by the format version). */
+const std::size_t kResultWords = sim::fieldCount<workloads::KernelResult>();
 
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordHeaderBytes = 16; // len + check + checksum
 /** fingerprint + pointJsonBytes + result words; the JSON itself is
  *  at least "{...}". */
-constexpr std::size_t kMinPayloadBytes =
-    8 + 4 + 2 + 8 * CacheStore::kResultWords;
+const std::size_t kMinPayloadBytes = 8 + 4 + 2 + 8 * kResultWords;
 
 /** Decode one verified payload; throws on any shape problem (the
  *  caller counts it as a discarded record). */
@@ -145,7 +81,7 @@ decodePayload(const char *p, std::size_t n, RequestPoint &point,
         throw std::runtime_error("payload too short");
     const std::uint64_t fp = getU64(p);
     const std::uint32_t jsonBytes = getU32(p + 8);
-    if (12 + std::size_t(jsonBytes) + 8 * CacheStore::kResultWords != n)
+    if (12 + std::size_t(jsonBytes) + 8 * kResultWords != n)
         throw std::runtime_error("payload length mismatch");
     const std::string jsonText(p + 12, jsonBytes);
     const Json doc = Json::parse(jsonText);
@@ -157,7 +93,12 @@ decodePayload(const char *p, std::size_t n, RequestPoint &point,
     point.workload = ConfigCodec::parseWorkload(*workload);
     if (point.fingerprint() != fp)
         throw std::runtime_error("fingerprint mismatch");
-    result = getResult(p + 12 + jsonBytes);
+    const char *word = p + 12 + jsonBytes;
+    sim::forEachField(result, [&](const auto &f) {
+        using V = typename std::remove_cvref_t<decltype(f)>::Value;
+        f.member = sim::fromWord<V>(getU64(word));
+        word += 8;
+    });
 }
 
 } // namespace
@@ -204,7 +145,7 @@ CacheStore::formatVersion()
     putU64(v, core::MachineConfig::kFingerprintVersion);
     putU64(v, WorkloadSpec::kFingerprintVersion);
     putU64(v, kResultWords);
-    return fnv1a(v.data(), v.size());
+    return sim::fnv1a(v.data(), v.size());
 }
 
 std::string
@@ -225,12 +166,14 @@ CacheStore::encodeRecord(const RequestPoint &point,
     const std::string json = ConfigCodec::serialize(point);
     putU32(payload, static_cast<std::uint32_t>(json.size()));
     payload += json;
-    putResult(payload, result);
+    sim::forEachField(result, [&](const auto &f) {
+        putU64(payload, sim::toWord(f.member));
+    });
 
     std::string out;
     putU32(out, static_cast<std::uint32_t>(payload.size()));
     putU32(out, frameCheck(static_cast<std::uint32_t>(payload.size())));
-    putU64(out, fnv1a(payload.data(), payload.size()));
+    putU64(out, sim::fnv1a(payload.data(), payload.size()));
     out += payload;
     return out;
 }
@@ -312,7 +255,7 @@ CacheStore::load(ResultCache &cache, const std::string &path)
         }
         const char *payload = data.data() + pos + kRecordHeaderBytes;
         pos += kRecordHeaderBytes + len;
-        if (fnv1a(payload, len) != checksum) {
+        if (sim::fnv1a(payload, len) != checksum) {
             // Payload corrupt but framing intact: drop just this
             // record and keep salvaging the rest.
             ++stats.discarded;

@@ -15,8 +15,8 @@
  *            u64 fnv1a64(payload), payload
  *   payload: u64 fingerprint, u32 pointJsonBytes,
  *            pointJson (ConfigCodec canonical form),
- *            u64 resultWords[kResultWords] (KernelResult fields in
- *            declaration order; doubles by bit pattern)
+ *            u64 resultWords[] (every KernelResult::visitFields()
+ *            entry in declaration order; doubles by bit pattern)
  *
  * formatVersion folds the store layout version together with
  * MachineConfig::kFingerprintVersion and
@@ -64,9 +64,6 @@ bool writeFileAtomic(const std::string &path, const std::string &contents,
 class CacheStore
 {
   public:
-    /** KernelResult fields per record (fixed by the format version). */
-    static constexpr std::size_t kResultWords = 22;
-
     /** The store's composite format version (layout x fingerprint
      *  stream versions). */
     static std::uint64_t formatVersion();

@@ -1,10 +1,15 @@
 #include "service/config_codec.hh"
 
+#include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <limits>
+#include <type_traits>
 
 #include "core/machine.hh"
 #include "sim/engine.hh"
+#include "sim/fields.hh"
+#include "sim/fnv.hh"
 
 namespace wisync::service {
 
@@ -25,7 +30,7 @@ fail(const std::string &field, std::size_t point, const std::string &msg)
     throw ParseError(field, point, msg);
 }
 
-// ---- Typed extraction with range checks --------------------------
+// ---- Typed extraction ------------------------------------------
 
 std::uint64_t
 asU64(const Json &v, const std::string &path, std::size_t point)
@@ -97,200 +102,187 @@ asObject(const Json &v, const std::string &path, std::size_t point)
     return v;
 }
 
-// ---- Enum spellings (exactly the toString() forms) ---------------
+// ---- Field-list drivers -----------------------------------------
 
-core::ConfigKind
-parseKind(const Json &v, const std::string &path, std::size_t point)
+/** One JSON value of the field's declared type. */
+template <class V>
+V
+parseValue(const Json &j, const sim::Field<V> &f, const std::string &path,
+           std::size_t point)
 {
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {core::ConfigKind::Baseline, core::ConfigKind::BaselinePlus,
-          core::ConfigKind::WiSyncNoT, core::ConfigKind::WiSync}) {
-        if (s == core::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown config kind '" + s +
-             "' (expected Baseline, Baseline+, WiSyncNoT or WiSync)");
-}
-
-core::Variant
-parseVariant(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {core::Variant::Default, core::Variant::SlowNet,
-          core::Variant::SlowNetL2, core::Variant::FastNet,
-          core::Variant::SlowBmem}) {
-        if (s == core::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown variant '" + s +
-             "' (expected Default, SlowNet, SlowNet+L2, FastNet or "
-             "SlowBMEM)");
-}
-
-wireless::MacKind
-parseMac(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {wireless::MacKind::Brs, wireless::MacKind::Token,
-          wireless::MacKind::FuzzyToken, wireless::MacKind::Adaptive}) {
-        if (s == wireless::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown MAC kind '" + s +
-             "' (expected BRS, Token, FuzzyToken or Adaptive)");
-}
-
-const char *
-casKernelName(workloads::CasKernel k)
-{
-    switch (k) {
-      case workloads::CasKernel::Fifo:
-        return "fifo";
-      case workloads::CasKernel::Lifo:
-        return "lifo";
-      case workloads::CasKernel::Add:
-        return "add";
-    }
-    return "?";
-}
-
-workloads::CasKernel
-parseCasKernel(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {workloads::CasKernel::Fifo, workloads::CasKernel::Lifo,
-          workloads::CasKernel::Add}) {
-        if (s == casKernelName(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown CAS kernel '" + s + "' (expected fifo, lifo or add)");
-}
-
-// ---- Sub-object parsers ------------------------------------------
-
-void
-parseBurst(wireless::BurstParams &burst, const Json &v,
-           const std::string &path, std::size_t point)
-{
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "enabled")
-            burst.enabled = asBool(member, sub, point);
-        else if (key == "goodLossPct")
-            burst.goodLossPct = asDouble(member, sub, point);
-        else if (key == "badLossPct")
-            burst.badLossPct = asDouble(member, sub, point);
-        else if (key == "pGoodToBad")
-            burst.pGoodToBad = asDouble(member, sub, point);
-        else if (key == "pBadToGood")
-            burst.pBadToGood = asDouble(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
-    }
-}
-
-void
-parseWireless(wireless::WirelessConfig &w, const Json &v,
-              const std::string &path, std::size_t point)
-{
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "mac")
-            w.macKind = parseMac(member, sub, point);
-        else if (key == "maxBackoffExp")
-            w.maxBackoffExp = asU32(member, sub, point);
-        else if (key == "tokenPassCycles")
-            w.tokenPassCycles = asU32(member, sub, point);
-        else if (key == "tokenFrameBits")
-            w.tokenFrameBits = asU32(member, sub, point);
-        else if (key == "tokenHoldCycles")
-            w.tokenHoldCycles = asU32(member, sub, point);
-        else if (key == "adaptWindowEvents")
-            w.adaptWindowEvents = asU32(member, sub, point);
-        else if (key == "adaptHiPct")
-            w.adaptHiPct = asU32(member, sub, point);
-        else if (key == "adaptLoPct")
-            w.adaptLoPct = asU32(member, sub, point);
-        else if (key == "lossPct")
-            w.lossPct = asDouble(member, sub, point);
-        else if (key == "berFromSnr")
-            w.berFromSnr = asBool(member, sub, point);
-        else if (key == "txPowerDbm")
-            w.txPowerDbm = asDouble(member, sub, point);
-        else if (key == "ackTimeoutCycles")
-            w.ackTimeoutCycles = asU32(member, sub, point);
-        else if (key == "maxRetries")
-            w.maxRetries = asU32(member, sub, point);
-        else if (key == "retryBackoffMaxExp")
-            w.retryBackoffMaxExp = asU32(member, sub, point);
-        else if (key == "burst")
-            parseBurst(w.burst, member, sub, point);
-        else if (key == "channelLossBaseDb")
-            w.channelLossBaseDb = asDouble(member, sub, point);
-        else if (key == "channelLossStepDb")
-            w.channelLossStepDb = asDouble(member, sub, point);
-        else if (key == "spectrumSlots")
-            w.spectrumSlots = asU32(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
-    }
-    if (w.lossPct < 0.0 || w.lossPct > 100.0)
-        fail(path + ".lossPct", point,
-             "loss percentage must be within [0, 100]");
-}
-
-void
-parseBridge(noc::BridgeConfig &b, const Json &v, const std::string &path,
-            std::size_t point)
-{
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "latencyCycles")
-            b.latencyCycles = asU64(member, sub, point);
-        else if (key == "widthBits")
-            b.widthBits = asU32(member, sub, point);
-        else if (key == "headerBits")
-            b.headerBits = asU32(member, sub, point);
-        else if (key == "lossPct")
-            b.lossPct = asDouble(member, sub, point);
-        else if (key == "burst")
-            parseBurst(b.burst, member, sub, point);
-        else if (key == "ackTimeoutCycles")
-            b.ackTimeoutCycles = asU64(member, sub, point);
-        else if (key == "maxRetries")
-            b.maxRetries = asU32(member, sub, point);
-        else if (key == "retryBackoffMaxExp")
-            b.retryBackoffMaxExp = asU32(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
-    }
-    if (b.lossPct < 0.0 || b.lossPct > 100.0)
-        fail(path + ".lossPct", point,
-             "loss percentage must be within [0, 100]");
-}
-
-/** Same FNV-1a stream discipline as MachineConfig::fingerprint(). */
-struct Fnv1a
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 0x100000001B3ull;
+    if constexpr (std::is_same_v<V, bool>) {
+        return asBool(j, path, point);
+    } else if constexpr (std::is_same_v<V, double>) {
+        return asDouble(j, path, point);
+    } else if constexpr (std::is_enum_v<V>) {
+        // Spelled exactly as toString() prints; [lo, hi] is the domain.
+        const std::string &s = asString(j, path, point);
+        std::string expected;
+        for (auto i = sim::toWord(f.lo); i <= sim::toWord(f.hi); ++i) {
+            const V e = sim::fromWord<V>(i);
+            if (s == toString(e))
+                return e;
+            expected += i == sim::toWord(f.lo) ? ""
+                        : i == sim::toWord(f.hi) ? " or "
+                                                 : ", ";
+            expected += toString(e);
         }
+        fail(path, point,
+             "unknown " + std::string(f.name) + " '" + s + "' (expected " +
+                 expected + ")");
+    } else if constexpr (sizeof(V) == 4) {
+        return asU32(j, path, point);
+    } else {
+        return asU64(j, path, point);
+    }
+}
+
+/** Assigns one JSON member to the kJson field (or group) it names. */
+struct JsonReader
+{
+    const std::string &key;
+    const Json &value;
+    /** Path of the member itself, e.g. "config.wireless.lossPct". */
+    const std::string &path;
+    std::size_t point;
+    bool matched = false;
+
+    bool
+    claims(const char *name, unsigned flags)
+    {
+        if (matched || (flags & sim::kJson) == 0 || key != name)
+            return false;
+        matched = true;
+        return true;
+    }
+
+    template <class T>
+    void
+    operator()(const sim::Field<T> &f)
+    {
+        if (claims(f.name, f.flags))
+            f.member = parseValue(value, f, path, point);
+    }
+
+    template <class R>
+    void
+    operator()(const sim::Group<R> &g);
+};
+
+/**
+ * Apply every member of JSON object @p v to @p record, except the
+ * @p skip keys (applied by the caller). Unknown keys are errors;
+ * @p context qualifies their message.
+ */
+template <class R>
+void
+readObject(R &record, const Json &v, const std::string &path,
+           std::size_t point, std::initializer_list<const char *> skip = {},
+           const std::string &context = "")
+{
+    for (const auto &[key, member] : asObject(v, path, point).object()) {
+        if (std::find(skip.begin(), skip.end(), key) != skip.end())
+            continue; // duplicates of these resolve to the first (find())
+        const std::string sub = path + "." + key;
+        JsonReader reader{key, member, sub, point};
+        sim::walkFields(record, reader);
+        if (!reader.matched)
+            fail(sub, point, "unknown key '" + key + "'" + context);
+    }
+}
+
+template <class R>
+void
+JsonReader::operator()(const sim::Group<R> &g)
+{
+    if (claims(g.name, g.flags))
+        readObject(g.record, value, path, point);
+}
+
+/** Parse JSON member @p key of @p obj (if present) into its field. */
+template <class R>
+void
+readKey(R &record, const Json &obj, const std::string &key,
+        const std::string &path, std::size_t point)
+{
+    if (const Json *member = obj.find(key)) {
+        const std::string sub = path + "." + key;
+        JsonReader reader{key, *member, sub, point};
+        sim::walkFields(record, reader);
+    }
+}
+
+template <class V>
+void
+writeValue(std::string &out, V v)
+{
+    if constexpr (std::is_same_v<V, bool>)
+        out += v ? "true" : "false";
+    else if constexpr (std::is_same_v<V, double>)
+        out += jsonNumber(v);
+    else if constexpr (std::is_enum_v<V>)
+        out += jsonQuote(toString(v));
+    else
+        out += jsonNumber(std::uint64_t(v));
+}
+
+template <class R>
+void writeObject(std::string &out, const R &record);
+
+/** Appends the kJson fields of one record as JSON members. */
+struct JsonWriter
+{
+    std::string &out;
+    bool first = true;
+
+    bool
+    key(const char *name, unsigned flags)
+    {
+        if ((flags & sim::kJson) == 0)
+            return false;
+        out += first ? "\"" : ",\"";
+        out += name;
+        out += "\":";
+        first = false;
+        return true;
+    }
+
+    template <class T>
+    void
+    operator()(const sim::Field<T> &f)
+    {
+        if (key(f.name, f.flags))
+            writeValue(out, f.member);
+    }
+
+    template <class R>
+    void
+    operator()(const sim::Group<R> &g)
+    {
+        if (key(g.name, g.flags))
+            writeObject(out, g.record);
     }
 };
+
+/** @p record's kJson fields as one JSON object, declaration order. */
+template <class R>
+void
+writeObject(std::string &out, const R &record)
+{
+    out += "{";
+    JsonWriter writer{out};
+    sim::walkFields(record, writer);
+    out += "}";
+}
+
+template <class R>
+std::string
+toJson(const R &record)
+{
+    std::string out;
+    writeObject(out, record);
+    return out;
+}
 
 } // namespace
 
@@ -304,24 +296,20 @@ ParseError::ParseError(std::string field, std::size_t point_index,
 std::uint64_t
 WorkloadSpec::fingerprint() const
 {
-    Fnv1a f;
     // "WSWF" tag + stream version (v2 added maxCycles).
-    f.u64(0x5753465700ull + kFingerprintVersion);
-    f.u64(static_cast<std::uint64_t>(kind));
+    return sim::fieldFingerprint(*this, 0x5753465700ull + kFingerprintVersion);
+}
+
+const char *
+toString(WorkloadSpec::Kind kind)
+{
     switch (kind) {
-      case Kind::TightLoop:
-        f.u64(tightLoop.iterations);
-        f.u64(tightLoop.arrayElems);
-        f.u64(tightLoop.runLimit);
-        break;
-      case Kind::Cas:
-        f.u64(static_cast<std::uint64_t>(casKernel));
-        f.u64(cas.criticalSectionInstr);
-        f.u64(cas.duration);
-        break;
+      case WorkloadSpec::Kind::TightLoop:
+        return "tightloop";
+      case WorkloadSpec::Kind::Cas:
+        return "cas";
     }
-    f.u64(maxCycles);
-    return f.h;
+    return "?";
 }
 
 std::uint64_t
@@ -357,10 +345,10 @@ RequestPoint::fingerprint() const
 {
     // Order the two halves through one stream so (config, workload)
     // can never alias (workload, config).
-    Fnv1a f;
+    sim::Fnv1a f;
     f.u64(config.fingerprint());
     f.u64(workload.fingerprint());
-    return f.h;
+    return f.value();
 }
 
 core::MachineConfig
@@ -372,55 +360,19 @@ ConfigCodec::parseConfig(const Json &v, std::size_t point_index,
     // kind/cores/variant first: make() derives the variant's timing
     // knobs (hop cycles, L2/BM round trips), so overrides below land
     // on the same baseline the benches use.
-    const Json *kind = obj.find("kind");
-    if (kind == nullptr)
-        fail(path + ".kind", point_index, "missing required key");
-    const Json *cores = obj.find("cores");
-    if (cores == nullptr)
-        fail(path + ".cores", point_index, "missing required key");
-    core::Variant variant = core::Variant::Default;
-    if (const Json *var = obj.find("variant"); var != nullptr)
-        variant = parseVariant(*var, path + ".variant", point_index);
+    for (const char *required : {"kind", "cores"})
+        if (obj.find(required) == nullptr)
+            fail(path + "." + required, point_index, "missing required key");
+    core::MachineConfig head;
+    for (const char *key : {"kind", "cores", "variant"})
+        readKey(head, obj, key, path, point_index);
+    core::MachineConfig cfg =
+        core::MachineConfig::make(head.kind, head.numCores, head.variant);
+    readObject(cfg, obj, path, point_index, {"kind", "cores", "variant"});
 
-    const std::uint32_t n = asU32(*cores, path + ".cores", point_index);
-    if (n == 0)
-        fail(path + ".cores", point_index, "need at least one core");
-    core::MachineConfig cfg = core::MachineConfig::make(
-        parseKind(*kind, path + ".kind", point_index), n, variant);
-
-    for (const auto &[key, member] : obj.object()) {
-        const std::string sub = path + "." + key;
-        if (key == "kind" || key == "cores" || key == "variant") {
-            // Applied above. Duplicate keys resolve to the first
-            // occurrence (find()), matching common JSON libraries.
-        } else if (key == "chips") {
-            cfg.numChips = asU32(member, sub, point_index);
-        } else if (key == "issueWidth") {
-            cfg.issueWidth = asU32(member, sub, point_index);
-        } else if (key == "seed") {
-            cfg.seed = asU64(member, sub, point_index);
-        } else if (key == "wireless") {
-            parseWireless(cfg.wireless, member, sub, point_index);
-        } else if (key == "bridge") {
-            parseBridge(cfg.bridge, member, sub, point_index);
-        } else {
-            fail(sub, point_index, "unknown key '" + key + "'");
-        }
-    }
-
-    // Structural validity: a bad tiling would WISYNC_FATAL inside the
-    // Machine constructor, which kills a service process. Reject it
-    // as a typed request error instead.
-    if (cfg.numChips == 0)
-        fail(path + ".chips", point_index, "need at least one chip");
-    if (cfg.numCores % cfg.numChips != 0)
-        fail(path + ".chips", point_index,
-             "cores (" + std::to_string(cfg.numCores) +
-                 ") must divide evenly over chips (" +
-                 std::to_string(cfg.numChips) + ")");
-    if (cfg.issueWidth == 0)
-        fail(path + ".issueWidth", point_index,
-             "issue width must be at least 1");
+    // Anything the Machine would refuse is a typed request error here.
+    if (const auto issue = core::validate(cfg))
+        fail(path + "." + issue->field, point_index, issue->message);
     return cfg;
 }
 
@@ -429,51 +381,13 @@ ConfigCodec::parseWorkload(const Json &v, std::size_t point_index,
                            const std::string &path)
 {
     const Json &obj = asObject(v, path, point_index);
-    WorkloadSpec spec;
-
-    const Json *kind = obj.find("kind");
-    if (kind == nullptr)
+    if (obj.find("kind") == nullptr)
         fail(path + ".kind", point_index, "missing required key");
-    const std::string &k = asString(*kind, path + ".kind", point_index);
-    if (k == "tightloop")
-        spec.kind = WorkloadSpec::Kind::TightLoop;
-    else if (k == "cas")
-        spec.kind = WorkloadSpec::Kind::Cas;
-    else
-        fail(path + ".kind", point_index,
-             "unknown workload '" + k + "' (expected tightloop or cas)");
-
-    for (const auto &[key, member] : obj.object()) {
-        const std::string sub = path + "." + key;
-        if (key == "kind") {
-            continue;
-        } else if (key == "maxCycles") {
-            // Kind-independent: the budget bounds the whole point.
-            spec.maxCycles = asU64(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::TightLoop &&
-                   key == "iterations") {
-            spec.tightLoop.iterations = asU32(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::TightLoop &&
-                   key == "arrayElems") {
-            spec.tightLoop.arrayElems = asU32(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::TightLoop &&
-                   key == "runLimit") {
-            spec.tightLoop.runLimit = asU64(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::Cas &&
-                   key == "kernel") {
-            spec.casKernel = parseCasKernel(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::Cas &&
-                   key == "criticalSectionInstr") {
-            spec.cas.criticalSectionInstr =
-                asU32(member, sub, point_index);
-        } else if (spec.kind == WorkloadSpec::Kind::Cas &&
-                   key == "duration") {
-            spec.cas.duration = asU64(member, sub, point_index);
-        } else {
-            fail(sub, point_index,
-                 "unknown key '" + key + "' for workload '" + k + "'");
-        }
-    }
+    // The kind selects which parameters are fields at all.
+    WorkloadSpec spec;
+    readKey(spec, obj, "kind", path, point_index);
+    readObject(spec, obj, path, point_index, {"kind"},
+               std::string(" for workload '") + toString(spec.kind) + "'");
     return spec;
 }
 
@@ -533,100 +447,13 @@ ConfigCodec::parseRequest(const std::string &json_text)
 std::string
 ConfigCodec::serialize(const core::MachineConfig &cfg)
 {
-    std::string out = "{";
-    out += "\"kind\":" + jsonQuote(core::toString(cfg.kind));
-    out += ",\"cores\":" + jsonNumber(std::uint64_t(cfg.numCores));
-    out += ",\"variant\":" + jsonQuote(core::toString(cfg.variant));
-    out += ",\"chips\":" + jsonNumber(std::uint64_t(cfg.numChips));
-    out += ",\"issueWidth\":" + jsonNumber(std::uint64_t(cfg.issueWidth));
-    out += ",\"seed\":" + jsonNumber(cfg.seed);
-
-    const auto &w = cfg.wireless;
-    out += ",\"wireless\":{";
-    out += "\"mac\":" + jsonQuote(wireless::toString(w.macKind));
-    out += ",\"maxBackoffExp\":" +
-           jsonNumber(std::uint64_t(w.maxBackoffExp));
-    out += ",\"tokenPassCycles\":" +
-           jsonNumber(std::uint64_t(w.tokenPassCycles));
-    out += ",\"tokenFrameBits\":" +
-           jsonNumber(std::uint64_t(w.tokenFrameBits));
-    out += ",\"tokenHoldCycles\":" +
-           jsonNumber(std::uint64_t(w.tokenHoldCycles));
-    out += ",\"adaptWindowEvents\":" +
-           jsonNumber(std::uint64_t(w.adaptWindowEvents));
-    out += ",\"adaptHiPct\":" + jsonNumber(std::uint64_t(w.adaptHiPct));
-    out += ",\"adaptLoPct\":" + jsonNumber(std::uint64_t(w.adaptLoPct));
-    out += ",\"lossPct\":" + jsonNumber(w.lossPct);
-    out += ",\"berFromSnr\":" + std::string(w.berFromSnr ? "true"
-                                                         : "false");
-    out += ",\"txPowerDbm\":" + jsonNumber(w.txPowerDbm);
-    out += ",\"ackTimeoutCycles\":" +
-           jsonNumber(std::uint64_t(w.ackTimeoutCycles));
-    out += ",\"maxRetries\":" + jsonNumber(std::uint64_t(w.maxRetries));
-    out += ",\"retryBackoffMaxExp\":" +
-           jsonNumber(std::uint64_t(w.retryBackoffMaxExp));
-    out += ",\"burst\":{";
-    out += "\"enabled\":" + std::string(w.burst.enabled ? "true"
-                                                        : "false");
-    out += ",\"goodLossPct\":" + jsonNumber(w.burst.goodLossPct);
-    out += ",\"badLossPct\":" + jsonNumber(w.burst.badLossPct);
-    out += ",\"pGoodToBad\":" + jsonNumber(w.burst.pGoodToBad);
-    out += ",\"pBadToGood\":" + jsonNumber(w.burst.pBadToGood);
-    out += "}";
-    out += ",\"channelLossBaseDb\":" + jsonNumber(w.channelLossBaseDb);
-    out += ",\"channelLossStepDb\":" + jsonNumber(w.channelLossStepDb);
-    out += ",\"spectrumSlots\":" +
-           jsonNumber(std::uint64_t(w.spectrumSlots));
-    out += "}";
-
-    const auto &b = cfg.bridge;
-    out += ",\"bridge\":{";
-    out += "\"latencyCycles\":" + jsonNumber(b.latencyCycles);
-    out += ",\"widthBits\":" + jsonNumber(std::uint64_t(b.widthBits));
-    out += ",\"headerBits\":" + jsonNumber(std::uint64_t(b.headerBits));
-    out += ",\"lossPct\":" + jsonNumber(b.lossPct);
-    out += ",\"burst\":{";
-    out += "\"enabled\":" + std::string(b.burst.enabled ? "true"
-                                                        : "false");
-    out += ",\"goodLossPct\":" + jsonNumber(b.burst.goodLossPct);
-    out += ",\"badLossPct\":" + jsonNumber(b.burst.badLossPct);
-    out += ",\"pGoodToBad\":" + jsonNumber(b.burst.pGoodToBad);
-    out += ",\"pBadToGood\":" + jsonNumber(b.burst.pBadToGood);
-    out += "}";
-    out += ",\"ackTimeoutCycles\":" + jsonNumber(b.ackTimeoutCycles);
-    out += ",\"maxRetries\":" + jsonNumber(std::uint64_t(b.maxRetries));
-    out += ",\"retryBackoffMaxExp\":" +
-           jsonNumber(std::uint64_t(b.retryBackoffMaxExp));
-    out += "}";
-
-    out += "}";
-    return out;
+    return toJson(cfg);
 }
 
 std::string
 ConfigCodec::serialize(const WorkloadSpec &w)
 {
-    std::string out = "{";
-    switch (w.kind) {
-      case WorkloadSpec::Kind::TightLoop:
-        out += "\"kind\":\"tightloop\"";
-        out += ",\"iterations\":" +
-               jsonNumber(std::uint64_t(w.tightLoop.iterations));
-        out += ",\"arrayElems\":" +
-               jsonNumber(std::uint64_t(w.tightLoop.arrayElems));
-        out += ",\"runLimit\":" + jsonNumber(w.tightLoop.runLimit);
-        break;
-      case WorkloadSpec::Kind::Cas:
-        out += "\"kind\":\"cas\"";
-        out += ",\"kernel\":" + jsonQuote(casKernelName(w.casKernel));
-        out += ",\"criticalSectionInstr\":" +
-               jsonNumber(std::uint64_t(w.cas.criticalSectionInstr));
-        out += ",\"duration\":" + jsonNumber(w.cas.duration);
-        break;
-    }
-    out += ",\"maxCycles\":" + jsonNumber(w.maxCycles);
-    out += "}";
-    return out;
+    return toJson(w);
 }
 
 std::string
@@ -652,31 +479,7 @@ ConfigCodec::serializeRequest(const SweepRequest &request)
 std::string
 ConfigCodec::serializeResult(const workloads::KernelResult &r)
 {
-    std::string out = "{";
-    out += "\"cycles\":" + jsonNumber(r.cycles);
-    out += ",\"completed\":" + std::string(r.completed ? "true"
-                                                       : "false");
-    out += ",\"operations\":" + jsonNumber(r.operations);
-    out += ",\"dataChannelUtilisation\":" +
-           jsonNumber(r.dataChannelUtilisation);
-    out += ",\"collisions\":" + jsonNumber(r.collisions);
-    out += ",\"macBackoffCycles\":" + jsonNumber(r.macBackoffCycles);
-    out += ",\"macTokenWaits\":" + jsonNumber(r.macTokenWaits);
-    out += ",\"macTokenRotations\":" + jsonNumber(r.macTokenRotations);
-    out += ",\"macModeSwitches\":" + jsonNumber(r.macModeSwitches);
-    out += ",\"wirelessDrops\":" + jsonNumber(r.wirelessDrops);
-    out += ",\"macAckTimeouts\":" + jsonNumber(r.macAckTimeouts);
-    out += ",\"macRetransmits\":" + jsonNumber(r.macRetransmits);
-    out += ",\"macGiveups\":" + jsonNumber(r.macGiveups);
-    out += ",\"bridgeFrames\":" + jsonNumber(r.bridgeFrames);
-    out += ",\"bridgeBusyCycles\":" + jsonNumber(r.bridgeBusyCycles);
-    out += ",\"staleRmwAborts\":" + jsonNumber(r.staleRmwAborts);
-    out += ",\"bridgeDrops\":" + jsonNumber(r.bridgeDrops);
-    out += ",\"bridgeAckTimeouts\":" + jsonNumber(r.bridgeAckTimeouts);
-    out += ",\"bridgeRetransmits\":" + jsonNumber(r.bridgeRetransmits);
-    out += ",\"bridgeGiveups\":" + jsonNumber(r.bridgeGiveups);
-    out += "}";
-    return out;
+    return toJson(r);
 }
 
 workloads::KernelResult

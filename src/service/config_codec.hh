@@ -22,10 +22,20 @@
  *    default and "succeed" with the wrong simulation. Type
  *    mismatches, out-of-range values and structurally invalid
  *    configs (cores not divisible by chips) are errors too. Every
- *    error names the offending field path and the point index.
+ *    error names the offending field path and the point index, and no
+ *    accepted config can fail inside the Machine.
  *
- *  - Canonicalization: serialize() emits every supported key in one
- *    fixed order with shortest-round-trip numbers. Hence
+ *  - One declaration per knob: the keys, their types and their
+ *    ranges are the kJson entries of each record's visitFields()
+ *    (MachineConfig and its sub-configs, WorkloadSpec, KernelResult;
+ *    see sim/fields.hh). parse and serialize are generic drivers over
+ *    those lists, and range errors come from core::validate(), the
+ *    same validator the Machine constructor runs. A new knob is
+ *    declared once, appended to its record's list; moving or removing
+ *    an entry needs a kFingerprintVersion bump.
+ *
+ *  - Canonicalization: serialize() emits every supported key in
+ *    declaration order with shortest-round-trip numbers. Hence
  *    serialize(parse(x)) is the canonical form of any request x —
  *    independent of x's key order, whitespace, number spelling and
  *    omitted defaults — and two requests denote the same point iff
@@ -131,6 +141,32 @@ struct WorkloadSpec
      *  MachineConfig::fingerprint). */
     std::uint64_t fingerprint() const;
 
+    /** The field list (sim/fields.hh): only the selected kind's
+     *  parameters are fields, then the kind-independent budget. */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        constexpr auto kJson = sim::kJson;
+        v(sim::field("kind", self.kind, Kind::TightLoop, Kind::Cas, kJson));
+        switch (self.kind) {
+          case Kind::TightLoop:
+            v(sim::field("iterations", self.tightLoop.iterations, kJson));
+            v(sim::field("arrayElems", self.tightLoop.arrayElems, kJson));
+            v(sim::field("runLimit", self.tightLoop.runLimit, kJson));
+            break;
+          case Kind::Cas:
+            v(sim::field("kernel", self.casKernel,
+                         workloads::CasKernel::Fifo,
+                         workloads::CasKernel::Add, kJson));
+            v(sim::field("criticalSectionInstr",
+                         self.cas.criticalSectionInstr, kJson));
+            v(sim::field("duration", self.cas.duration, kJson));
+            break;
+        }
+        v(sim::field("maxCycles", self.maxCycles, kJson));
+    }
+
     /** Version of the workload fingerprint stream layout (same bump
      *  discipline as MachineConfig::kFingerprintVersion). */
     static constexpr std::uint64_t kFingerprintVersion = 2;
@@ -139,6 +175,9 @@ struct WorkloadSpec
      *  length (see ShardPlanner::planByCost). */
     std::uint64_t lengthEstimate() const;
 };
+
+/** "tightloop" or "cas" (the JSON spelling). */
+const char *toString(WorkloadSpec::Kind kind);
 
 /** One point of a sweep request. */
 struct RequestPoint
@@ -179,7 +218,7 @@ class ConfigCodec
                   std::size_t point_index = ParseError::kNoPoint,
                   const std::string &path = "workload");
 
-    /** Canonical JSON of @p cfg (every supported key, fixed order). */
+    /** Canonical JSON of @p cfg (every kJson key, declaration order). */
     static std::string serialize(const core::MachineConfig &cfg);
 
     /** Canonical JSON of @p w. */
@@ -191,8 +230,8 @@ class ConfigCodec
     /** Canonical JSON of a whole request. */
     static std::string serializeRequest(const SweepRequest &request);
 
-    /** JSON object with every simulated-observable KernelResult
-     *  field (the service response's per-point "result" block). */
+    /** JSON object with every kJson (simulated-observable)
+     *  KernelResult field (the service response's "result" block). */
     static std::string serializeResult(const workloads::KernelResult &r);
 };
 

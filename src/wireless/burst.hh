@@ -21,6 +21,7 @@
 #ifndef WISYNC_WIRELESS_BURST_HH
 #define WISYNC_WIRELESS_BURST_HH
 
+#include "sim/fields.hh"
 #include "sim/rng.hh"
 
 namespace wisync::wireless {
@@ -93,6 +94,20 @@ struct BurstParams
     }
 
     bool operator==(const BurstParams &) const = default;
+
+    /** The field list (sim/fields.hh). */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        v(sim::field("enabled", self.enabled, sim::kJson));
+        v(sim::field("goodLossPct", self.goodLossPct, 0.0, 100.0,
+                     sim::kJson));
+        v(sim::field("badLossPct", self.badLossPct, 0.0, 100.0,
+                     sim::kJson));
+        v(sim::field("pGoodToBad", self.pGoodToBad, 0.0, 1.0, sim::kJson));
+        v(sim::field("pBadToGood", self.pBadToGood, 0.0, 1.0, sim::kJson));
+    }
 };
 
 /** Runtime chain state for one link/transmitter. Starts Good. */

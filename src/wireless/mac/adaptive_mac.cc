@@ -43,8 +43,8 @@ AdaptiveMac::note(bool collided)
         return;
     if (!tokenMode_) {
         // Collision fraction over the window: thrashing -> token ring.
-        if (windowCollisions_ * 100 >=
-            windowEvents_ * channel_.config().adaptHiPct) {
+        if (std::uint64_t{windowCollisions_} * 100 >=
+            std::uint64_t{windowEvents_} * channel_.config().adaptHiPct) {
             tokenMode_ = true;
             st().modeSwitches.inc();
         }

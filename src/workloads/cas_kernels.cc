@@ -183,6 +183,20 @@ fifoThread(core::ThreadCtx &ctx, CasState *st, sim::Addr pool,
 
 } // namespace
 
+const char *
+toString(CasKernel kernel)
+{
+    switch (kernel) {
+      case CasKernel::Fifo:
+        return "fifo";
+      case CasKernel::Lifo:
+        return "lifo";
+      case CasKernel::Add:
+        return "add";
+    }
+    return "?";
+}
+
 KernelResult
 runCasKernel(CasKernel kernel, core::ConfigKind kind, std::uint32_t cores,
              const CasKernelParams &params)

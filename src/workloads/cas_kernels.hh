@@ -37,6 +37,9 @@ enum class CasKernel
     Add,
 };
 
+/** "fifo", "lifo" or "add" (the service's JSON spelling). */
+const char *toString(CasKernel kernel);
+
 /** CAS-kernel parameters. */
 struct CasKernelParams
 {

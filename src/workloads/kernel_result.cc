@@ -1,7 +1,5 @@
 #include "workloads/kernel_result.hh"
 
-#include <bit>
-
 #include "core/machine.hh"
 
 namespace wisync::workloads {
@@ -53,31 +51,6 @@ captureChannelStats(KernelResult &result, core::Machine &machine)
         }
         result.staleRmwAborts = bm->stats().staleRmwAborts.value();
     }
-}
-
-bool
-bitIdentical(const KernelResult &a, const KernelResult &b)
-{
-    return a.cycles == b.cycles && a.completed == b.completed &&
-           a.operations == b.operations &&
-           std::bit_cast<std::uint64_t>(a.dataChannelUtilisation) ==
-               std::bit_cast<std::uint64_t>(b.dataChannelUtilisation) &&
-           a.collisions == b.collisions &&
-           a.macBackoffCycles == b.macBackoffCycles &&
-           a.macTokenWaits == b.macTokenWaits &&
-           a.macTokenRotations == b.macTokenRotations &&
-           a.macModeSwitches == b.macModeSwitches &&
-           a.wirelessDrops == b.wirelessDrops &&
-           a.macAckTimeouts == b.macAckTimeouts &&
-           a.macRetransmits == b.macRetransmits &&
-           a.macGiveups == b.macGiveups &&
-           a.bridgeFrames == b.bridgeFrames &&
-           a.bridgeBusyCycles == b.bridgeBusyCycles &&
-           a.staleRmwAborts == b.staleRmwAborts &&
-           a.bridgeDrops == b.bridgeDrops &&
-           a.bridgeAckTimeouts == b.bridgeAckTimeouts &&
-           a.bridgeRetransmits == b.bridgeRetransmits &&
-           a.bridgeGiveups == b.bridgeGiveups;
 }
 
 } // namespace wisync::workloads

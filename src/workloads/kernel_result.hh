@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "sim/fields.hh"
 #include "sim/types.hh"
 
 namespace wisync::core {
@@ -96,6 +97,43 @@ struct KernelResult
                            : static_cast<double>(operations) * 1000.0 /
                                  static_cast<double>(cycles);
     }
+
+    /**
+     * The field list (sim/fields.hh): the result JSON (kJson), the
+     * cache store's words (every field, in this order) and
+     * bitIdentical() (every field but kHost). A new counter is one
+     * entry here plus its capture in captureChannelStats().
+     */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        constexpr auto kJson = sim::kJson;
+        v(sim::field("cycles", self.cycles, kJson));
+        v(sim::field("completed", self.completed, kJson));
+        v(sim::field("operations", self.operations, kJson));
+        v(sim::field("dataChannelUtilisation", self.dataChannelUtilisation,
+                     kJson));
+        v(sim::field("collisions", self.collisions, kJson));
+        v(sim::field("macBackoffCycles", self.macBackoffCycles, kJson));
+        v(sim::field("macTokenWaits", self.macTokenWaits, kJson));
+        v(sim::field("macTokenRotations", self.macTokenRotations, kJson));
+        v(sim::field("macModeSwitches", self.macModeSwitches, kJson));
+        v(sim::field("wirelessDrops", self.wirelessDrops, kJson));
+        v(sim::field("macAckTimeouts", self.macAckTimeouts, kJson));
+        v(sim::field("macRetransmits", self.macRetransmits, kJson));
+        v(sim::field("macGiveups", self.macGiveups, kJson));
+        v(sim::field("bridgeFrames", self.bridgeFrames, kJson));
+        v(sim::field("bridgeBusyCycles", self.bridgeBusyCycles, kJson));
+        v(sim::field("staleRmwAborts", self.staleRmwAborts, kJson));
+        v(sim::field("bridgeDrops", self.bridgeDrops, kJson));
+        v(sim::field("bridgeAckTimeouts", self.bridgeAckTimeouts, kJson));
+        v(sim::field("bridgeRetransmits", self.bridgeRetransmits, kJson));
+        v(sim::field("bridgeGiveups", self.bridgeGiveups, kJson));
+        v(sim::field("fastpathHits", self.fastpathHits, sim::kHost));
+        v(sim::field("fastpathFallbacks", self.fastpathFallbacks,
+                     sim::kHost));
+    }
 };
 
 /**
@@ -114,12 +152,16 @@ void captureChannelStats(KernelResult &result, core::Machine &machine);
 /**
  * Field-by-field equality, with the utilisation double compared by
  * bit pattern — the determinism contract the sweep benches and tests
- * assert between serial and parallel runs. The fastpath* counters are
- * host-route telemetry, not simulated observables, and are excluded
- * (see their declaration) — which is also what lets the fastpath-on
- * vs -off identity gate use this same predicate.
+ * assert between serial and parallel runs. The kHost fields (the
+ * fastpath* counters) are host-route telemetry, not simulated
+ * observables, and are excluded — which is also what lets the
+ * fastpath-on vs -off identity gate use this same predicate.
  */
-bool bitIdentical(const KernelResult &a, const KernelResult &b);
+inline bool
+bitIdentical(const KernelResult &a, const KernelResult &b)
+{
+    return sim::sameFields(a, b, sim::kNoFlags, sim::kHost);
+}
 
 } // namespace wisync::workloads
 

@@ -446,7 +446,7 @@ TEST(MacProtoMachine, ResetSwapsProtocolsAndMatchesFreshRuns)
     }
 }
 
-TEST(MacProtoMachine, TelemetryRegistersInStatSet)
+TEST(MacProtoMachine, TelemetryCountersReadThroughStats)
 {
     auto cfg = MachineConfig::make(ConfigKind::WiSyncNoT, 16);
     cfg.wireless.macKind = MacKind::Token;
@@ -455,12 +455,10 @@ TEST(MacProtoMachine, TelemetryRegistersInStatSet)
     p.iterations = 4;
     (void)wisync::workloads::runTightLoopOn(m, p);
 
-    wisync::sim::StatSet set;
-    m.bm()->macProtocol().registerStats(set, "mac");
-    EXPECT_GT(set.counterValue("mac.acquires"), 0u);
-    EXPECT_GT(set.counterValue("mac.token_rotations"), 0u);
-    EXPECT_EQ(set.counterValue("mac.backoff_cycles"), 0u);
-    EXPECT_EQ(set.counterValue("mac.nonexistent"), 0u);
+    const auto &stats = m.bm()->macProtocol().stats();
+    EXPECT_GT(stats.acquires.value(), 0u);
+    EXPECT_GT(stats.tokenRotations.value(), 0u);
+    EXPECT_EQ(stats.backoffCycles.value(), 0u);
 }
 
 TEST(MacProtoParallelSweep, GridIsThreadCountIndependent)
