@@ -87,11 +87,11 @@ struct BmConfig
     static void
     visitFields(Self &self, V &v)
     {
-        v(sim::field("bmBytes", self.bmBytes, 8, UINT32_MAX, sim::kShape));
-        v(sim::field("bmRtCycles", self.bmRtCycles, sim::kNoFlags));
-        v(sim::field("rmwModifyCycles", self.rmwModifyCycles,
-                     sim::kNoFlags));
-        v(sim::field("allocSlots", self.allocSlots, sim::kShape));
+        using sim::field, sim::kShape, sim::kNoFlags;
+        v(field("bmBytes", self.bmBytes, 8, UINT32_MAX, kShape));
+        v(field("bmRtCycles", self.bmRtCycles, kNoFlags));
+        v(field("rmwModifyCycles", self.rmwModifyCycles, kNoFlags));
+        v(field("allocSlots", self.allocSlots, kShape));
     }
 
     std::uint32_t words() const { return bmBytes / 8; }

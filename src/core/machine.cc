@@ -8,8 +8,7 @@ namespace wisync::core {
 
 namespace {
 
-/** Backstop for configs that bypassed the codec: the service rejects
- *  the same issues as typed request errors before they get here. */
+/** Backstop: the service codec rejects these as typed errors. */
 void
 requireValid(const MachineConfig &cfg)
 {

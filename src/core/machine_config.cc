@@ -85,25 +85,22 @@ MachineConfig::fingerprint() const
     return sim::fieldFingerprint(*this, 0x5753464700ull + kFingerprintVersion);
 }
 
-std::optional<ConfigIssue>
+std::optional<sim::FieldIssue>
 validate(const MachineConfig &cfg)
 {
-    sim::RangeViolation bad;
-    if (sim::findRangeViolation(cfg, bad))
-        return ConfigIssue{bad.field, bad.message};
+    if (auto issue = sim::findRangeIssue(cfg))
+        return issue;
     if (cfg.numCores % cfg.numChips != 0)
-        return ConfigIssue{"chips",
-                           "cores (" + std::to_string(cfg.numCores) +
-                               ") must divide evenly over chips (" +
-                               std::to_string(cfg.numChips) + ")"};
+        return sim::FieldIssue{"chips",
+                               "cores (" + std::to_string(cfg.numCores) +
+                                   ") must divide evenly over chips (" +
+                                   std::to_string(cfg.numChips) + ")"};
     if (cfg.mesh.numNodes != cfg.numCores)
-        return ConfigIssue{"mesh.numNodes",
-                           "mesh size must equal core count (use "
-                           "MachineConfig::make)"};
+        return sim::FieldIssue{"mesh.numNodes",
+                               "must equal cores (use MachineConfig::make)"};
     if (cfg.wireless.collisionCycles >= cfg.wireless.dataCycles)
-        return ConfigIssue{"wireless.collisionCycles",
-                           "collision penalty must be below full transfer "
-                           "time"};
+        return sim::FieldIssue{"wireless.collisionCycles",
+                               "must be below wireless.dataCycles"};
     return std::nullopt;
 }
 

@@ -7,7 +7,6 @@
 #define WISYNC_CORE_MACHINE_CONFIG_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "bm/bm_system.hh"
@@ -106,11 +105,11 @@ struct MachineConfig
 
     /**
      * True when a Machine built from this config can be reused for
-     * @p other via Machine::reset: the same structural geometry (the
-     * kShape fields: core count, cache/BM capacities, controller
-     * counts). The kind, timing knobs, seed and issue width may differ
-     * freely — reset() re-applies them (the wireless substrate is
-     * always built and merely gated per kind).
+     * @p other via Machine::reset: the same kShape fields (core
+     * count, cache/BM capacities, controller counts). The kind,
+     * timing knobs, seed and issue width may differ freely — reset()
+     * re-applies them (the wireless substrate is always built and
+     * merely gated per kind).
      */
     bool compatibleShape(const MachineConfig &other) const;
 
@@ -123,73 +122,56 @@ struct MachineConfig
     bool operator==(const MachineConfig &) const = default;
 
     /**
-     * Canonical 64-bit fingerprint of the whole config: FNV-1a over
-     * every field of visitFields(), in declaration order, each widened
-     * to 8 bytes (doubles by bit pattern). Process-stable and
-     * run-stable — no addresses, no unordered iteration — so it can
-     * key the service ResultCache, name shard work items across worker
-     * processes, and be compared between hosts. operator== equal
-     * configs always fingerprint equal; the service additionally
-     * verifies equality on cache hits so a (astronomically unlikely)
-     * 64-bit collision degrades to a miss, never a wrong result.
+     * Canonical 64-bit fingerprint: FNV-1a over every visitFields()
+     * entry in order, each widened to 8 bytes (doubles by bit
+     * pattern). Process- and run-stable, so it keys the service
+     * ResultCache and names shard work items across processes and
+     * hosts. The cache also verifies equality on hits, so a 64-bit
+     * collision degrades to a miss, never a wrong result.
      */
     std::uint64_t fingerprint() const;
 
     /**
-     * Version of the fingerprint stream layout. A new knob is declared
-     * once, appended at the end of its record's visitFields(); moving
-     * or removing an entry changes the stream and must bump this, so
-     * anything persisted under an old layout (the on-disk result
-     * cache) can never alias a new one. Folded into the stream's
-     * leading tag and into service::CacheStore's file-format version.
+     * Version of the fingerprint stream. A new knob is declared once,
+     * appended to its record's visitFields(); moving or removing an
+     * entry must bump this, so the on-disk result cache never aliases
+     * an old layout (it is folded into CacheStore's format version).
      */
     static constexpr std::uint64_t kFingerprintVersion = 1;
 
-    /**
-     * The field list (sim/fields.hh): the fingerprint stream, the
-     * service codec's keys, the validated ranges and the reset shape.
-     * Cores are capped at a kilocore package; the cross-field rules
-     * (cores divide over chips, ...) live in validate().
-     */
+    /** The field list (sim/fields.hh); cores are capped at a
+     *  kilocore package, cross-field rules live in validate(). */
     template <class Self, class V>
     static void
     visitFields(Self &self, V &v)
     {
-        constexpr auto kJson = sim::kJson;
-        v(sim::field("kind", self.kind, ConfigKind::Baseline,
-                     ConfigKind::WiSync, kJson));
-        v(sim::field("variant", self.variant, Variant::Default,
-                     Variant::SlowBmem, kJson));
-        v(sim::field("cores", self.numCores, 1, 1024, kJson | sim::kShape));
-        v(sim::field("chips", self.numChips, 1, 1024, kJson));
-        v(sim::field("issueWidth", self.issueWidth, 1, UINT32_MAX, kJson));
-        v(sim::field("seed", self.seed, kJson));
-        v(sim::group("mem", self.mem, sim::kNoFlags));
-        v(sim::group("mesh", self.mesh, sim::kNoFlags));
-        v(sim::group("wireless", self.wireless, kJson));
-        v(sim::group("bm", self.bm, sim::kNoFlags));
-        v(sim::group("bridge", self.bridge, kJson));
+        using sim::field, sim::group, sim::kJson, sim::kShape, sim::kNoFlags;
+        v(field("kind", self.kind, ConfigKind::Baseline, ConfigKind::WiSync,
+                kJson));
+        v(field("variant", self.variant, Variant::Default, Variant::SlowBmem,
+                kJson));
+        v(field("cores", self.numCores, 1, 1024, kJson | kShape));
+        v(field("chips", self.numChips, 1, 1024, kJson));
+        v(field("issueWidth", self.issueWidth, 1, UINT32_MAX, kJson));
+        v(field("seed", self.seed, kJson));
+        v(group("mem", self.mem, kNoFlags));
+        v(group("mesh", self.mesh, kNoFlags));
+        v(group("wireless", self.wireless, kJson));
+        v(group("bm", self.bm, kNoFlags));
+        v(group("bridge", self.bridge, kJson));
     }
 
     /** Human-readable one-liner for harness output. */
     std::string describe() const;
 };
 
-/** The first constraint a config breaks: its field path and why. */
-struct ConfigIssue
-{
-    /** Dotted JSON-name path, e.g. "wireless.burst.pGoodToBad". */
-    std::string field;
-    std::string message;
-};
-
 /**
- * The one config validator: every field inside its declared range,
- * then the cross-field rules. The service codec turns an issue into a
- * ParseError; Machine's constructor and reset() treat one as fatal.
- * @return the first issue in declaration order, or nullopt.
+ * The one config validator: every declared range, then the cross-field
+ * rules. @return the first issue, its path in JSON names (e.g.
+ * "wireless.burst.pGoodToBad"); the codec reports it as a ParseError,
+ * Machine's constructor and reset() treat it as fatal.
  */
-std::optional<ConfigIssue> validate(const MachineConfig &cfg);
+std::optional<sim::FieldIssue> validate(const MachineConfig &cfg);
 
 } // namespace wisync::core
 

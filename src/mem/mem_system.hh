@@ -78,23 +78,22 @@ struct MemConfig
     static void
     visitFields(Self &self, V &v)
     {
-        v(sim::field("lineBytes", self.lineBytes, 1, UINT32_MAX, sim::kShape));
-        v(sim::field("l1SizeBytes", self.l1SizeBytes, 1, UINT32_MAX,
-                     sim::kShape));
-        v(sim::field("l1Assoc", self.l1Assoc, 1, UINT32_MAX, sim::kShape));
-        v(sim::field("l1RtCycles", self.l1RtCycles, sim::kNoFlags));
-        v(sim::field("l2BankSizeBytes", self.l2BankSizeBytes, 1, UINT32_MAX,
-                     sim::kShape));
-        v(sim::field("l2Assoc", self.l2Assoc, 1, UINT32_MAX, sim::kShape));
-        v(sim::field("l2RtCycles", self.l2RtCycles, sim::kNoFlags));
-        v(sim::field("dramRtCycles", self.dramRtCycles, sim::kNoFlags));
-        v(sim::field("numMemCtrls", self.numMemCtrls, 1, UINT32_MAX,
-                     sim::kShape));
-        v(sim::field("dramOutstanding", self.dramOutstanding, 1, UINT32_MAX,
-                     sim::kShape));
-        v(sim::field("ctrlBits", self.ctrlBits, sim::kNoFlags));
-        v(sim::field("dataBits", self.dataBits, sim::kNoFlags));
-        v(sim::field("fastpath", self.fastpath, sim::kNoFlags));
+        using sim::field, sim::kShape, sim::kNoFlags;
+        v(field("lineBytes", self.lineBytes, 1, UINT32_MAX, kShape));
+        v(field("l1SizeBytes", self.l1SizeBytes, 1, UINT32_MAX, kShape));
+        v(field("l1Assoc", self.l1Assoc, 1, UINT32_MAX, kShape));
+        v(field("l1RtCycles", self.l1RtCycles, kNoFlags));
+        v(field("l2BankSizeBytes", self.l2BankSizeBytes, 1, UINT32_MAX,
+                kShape));
+        v(field("l2Assoc", self.l2Assoc, 1, UINT32_MAX, kShape));
+        v(field("l2RtCycles", self.l2RtCycles, kNoFlags));
+        v(field("dramRtCycles", self.dramRtCycles, kNoFlags));
+        v(field("numMemCtrls", self.numMemCtrls, 1, UINT32_MAX, kShape));
+        v(field("dramOutstanding", self.dramOutstanding, 1, UINT32_MAX,
+                kShape));
+        v(field("ctrlBits", self.ctrlBits, kNoFlags));
+        v(field("dataBits", self.dataBits, kNoFlags));
+        v(field("fastpath", self.fastpath, kNoFlags));
     }
 };
 

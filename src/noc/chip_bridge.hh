@@ -73,28 +73,22 @@ struct BridgeConfig
 
     bool operator==(const BridgeConfig &) const = default;
 
-    /**
-     * The field list (sim/fields.hh). Widths are capped so a frame's
-     * bit count and its serialization round-up fit 32 bits; cycle
-     * knobs and the backoff exponent so no wait overflows a cycle.
-     */
+    /** The field list (sim/fields.hh). The caps keep frame bit counts
+     *  in 32 bits and every wait in a cycle count. */
     template <class Self, class V>
     static void
     visitFields(Self &self, V &v)
     {
-        constexpr auto kJson = sim::kJson;
-        constexpr sim::Cycle kMaxWait = sim::Cycle{1} << 32;
-        v(sim::field("latencyCycles", self.latencyCycles, 0, kMaxWait,
-                     kJson));
-        v(sim::field("widthBits", self.widthBits, 1, 65536, kJson));
-        v(sim::field("headerBits", self.headerBits, 0, 65536, kJson));
-        v(sim::field("lossPct", self.lossPct, 0.0, 100.0, kJson));
-        v(sim::group("burst", self.burst, kJson));
-        v(sim::field("ackTimeoutCycles", self.ackTimeoutCycles, 0, kMaxWait,
-                     kJson));
-        v(sim::field("maxRetries", self.maxRetries, kJson));
-        v(sim::field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32,
-                     kJson));
+        using sim::field, sim::group, sim::kJson;
+        v(field("latencyCycles", self.latencyCycles, 0, 1ull << 32, kJson));
+        v(field("widthBits", self.widthBits, 1, 65536, kJson));
+        v(field("headerBits", self.headerBits, 0, 65536, kJson));
+        v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
+        v(group("burst", self.burst, kJson));
+        v(field("ackTimeoutCycles", self.ackTimeoutCycles, 0, 1ull << 32,
+                kJson));
+        v(field("maxRetries", self.maxRetries, kJson));
+        v(field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32, kJson));
     }
 };
 

@@ -73,13 +73,12 @@ struct MeshConfig
     static void
     visitFields(Self &self, V &v)
     {
-        v(sim::field("numNodes", self.numNodes, 1, UINT32_MAX,
-                     sim::kShape));
-        v(sim::field("hopCycles", self.hopCycles, sim::kNoFlags));
-        v(sim::field("linkBits", self.linkBits, 1, UINT32_MAX,
-                     sim::kNoFlags));
-        v(sim::field("treeMulticast", self.treeMulticast, sim::kNoFlags));
-        v(sim::field("fastpath", self.fastpath, sim::kNoFlags));
+        using sim::field, sim::kShape, sim::kNoFlags;
+        v(field("numNodes", self.numNodes, 1, UINT32_MAX, kShape));
+        v(field("hopCycles", self.hopCycles, kNoFlags));
+        v(field("linkBits", self.linkBits, 1, UINT32_MAX, kNoFlags));
+        v(field("treeMulticast", self.treeMulticast, kNoFlags));
+        v(field("fastpath", self.fastpath, kNoFlags));
     }
 };
 

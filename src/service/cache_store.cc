@@ -63,7 +63,12 @@ getU64(const char *p)
 
 /** Result words per record: every KernelResult field, host telemetry
  *  included, in declaration order (fixed by the format version). */
-const std::size_t kResultWords = sim::fieldCount<workloads::KernelResult>();
+const std::size_t kResultWords = [] {
+    workloads::KernelResult r;
+    std::size_t n = 0;
+    sim::forEachField(r, [&](const auto &) { ++n; });
+    return n;
+}();
 
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordHeaderBytes = 16; // len + check + checksum

@@ -30,69 +30,6 @@ fail(const std::string &field, std::size_t point, const std::string &msg)
     throw ParseError(field, point, msg);
 }
 
-// ---- Typed extraction ------------------------------------------
-
-std::uint64_t
-asU64(const Json &v, const std::string &path, std::size_t point)
-{
-    if (!v.isNumber())
-        fail(path, point,
-             std::string("expected an unsigned integer, got ") +
-                 v.typeName());
-    const std::string &raw = v.rawNumber();
-    // Reject signs, fractions and exponents outright: "2.5 cores" and
-    // "-1 retries" must be errors, and an exponent form would lose
-    // 64-bit precision through the double.
-    if (raw.find_first_of(".eE-") != std::string::npos)
-        fail(path, point, "expected an unsigned integer, got '" + raw +
-                              "'");
-    std::uint64_t out = 0;
-    const char *first = raw.data();
-    const char *last = first + raw.size();
-    const auto [end, ec] = std::from_chars(first, last, out);
-    if (ec != std::errc() || end != last)
-        fail(path, point, "unsigned integer out of range: '" + raw +
-                              "'");
-    return out;
-}
-
-std::uint32_t
-asU32(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::uint64_t wide = asU64(v, path, point);
-    if (wide > std::numeric_limits<std::uint32_t>::max())
-        fail(path, point, "value does not fit in 32 bits: " +
-                              std::to_string(wide));
-    return static_cast<std::uint32_t>(wide);
-}
-
-double
-asDouble(const Json &v, const std::string &path, std::size_t point)
-{
-    if (!v.isNumber())
-        fail(path, point, std::string("expected a number, got ") +
-                              v.typeName());
-    return v.number();
-}
-
-bool
-asBool(const Json &v, const std::string &path, std::size_t point)
-{
-    if (!v.isBool())
-        fail(path, point, std::string("expected true/false, got ") +
-                              v.typeName());
-    return v.boolean();
-}
-
-const std::string &
-asString(const Json &v, const std::string &path, std::size_t point)
-{
-    if (!v.isString())
-        fail(path, point, std::string("expected a string, got ") +
-                              v.typeName());
-    return v.str();
-}
-
 const Json &
 asObject(const Json &v, const std::string &path, std::size_t point)
 {
@@ -104,36 +41,55 @@ asObject(const Json &v, const std::string &path, std::size_t point)
 
 // ---- Field-list drivers -----------------------------------------
 
-/** One JSON value of the field's declared type. */
+/** One JSON value of the field's declared type; ranges are checked
+ *  later, by core::validate(), on the whole config. */
 template <class V>
 V
 parseValue(const Json &j, const sim::Field<V> &f, const std::string &path,
            std::size_t point)
 {
+    const auto expect = [&](bool ok, const char *what) {
+        if (!ok)
+            fail(path, point, std::string("expected ") + what + ", got " +
+                                  j.typeName());
+    };
     if constexpr (std::is_same_v<V, bool>) {
-        return asBool(j, path, point);
+        expect(j.isBool(), "true/false");
+        return j.boolean();
     } else if constexpr (std::is_same_v<V, double>) {
-        return asDouble(j, path, point);
+        expect(j.isNumber(), "a number");
+        return j.number();
     } else if constexpr (std::is_enum_v<V>) {
         // Spelled exactly as toString() prints; [lo, hi] is the domain.
-        const std::string &s = asString(j, path, point);
-        std::string expected;
+        expect(j.isString(), "a string");
+        std::string known;
         for (auto i = sim::toWord(f.lo); i <= sim::toWord(f.hi); ++i) {
-            const V e = sim::fromWord<V>(i);
-            if (s == toString(e))
-                return e;
-            expected += i == sim::toWord(f.lo) ? ""
-                        : i == sim::toWord(f.hi) ? " or "
-                                                 : ", ";
-            expected += toString(e);
+            if (j.str() == toString(sim::fromWord<V>(i)))
+                return sim::fromWord<V>(i);
+            known += std::string(known.empty() ? "" : ", ") +
+                     toString(sim::fromWord<V>(i));
         }
-        fail(path, point,
-             "unknown " + std::string(f.name) + " '" + s + "' (expected " +
-                 expected + ")");
-    } else if constexpr (sizeof(V) == 4) {
-        return asU32(j, path, point);
+        fail(path, point, "unknown " + std::string(f.name) + " '" +
+                              j.str() + "' (expected " + known + ")");
     } else {
-        return asU64(j, path, point);
+        expect(j.isNumber(), "an unsigned integer");
+        // Parse the raw token: signs, fractions and exponents are
+        // errors ("2.5 cores", "-1 retries"), and a double would lose
+        // 64-bit precision.
+        const std::string &raw = j.rawNumber();
+        std::uint64_t wide = 0;
+        const auto [end, ec] =
+            std::from_chars(raw.data(), raw.data() + raw.size(), wide);
+        if (raw.find_first_of(".eE-") != std::string::npos ||
+            ec == std::errc::invalid_argument ||
+            end != raw.data() + raw.size())
+            fail(path, point, "expected an unsigned integer, got '" + raw +
+                                  "'");
+        if (ec != std::errc() || wide > std::numeric_limits<V>::max())
+            fail(path, point, "value does not fit in " +
+                                  std::to_string(8 * sizeof(V)) +
+                                  " bits: " + raw);
+        return static_cast<V>(wide);
     }
 }
 
@@ -171,8 +127,9 @@ struct JsonReader
 
 /**
  * Apply every member of JSON object @p v to @p record, except the
- * @p skip keys (applied by the caller). Unknown keys are errors;
- * @p context qualifies their message.
+ * @p skip keys (the caller applied them first; their duplicates
+ * resolve to the first occurrence, like find()). Unknown keys are
+ * errors; @p context qualifies their message.
  */
 template <class R>
 void
@@ -182,7 +139,7 @@ readObject(R &record, const Json &v, const std::string &path,
 {
     for (const auto &[key, member] : asObject(v, path, point).object()) {
         if (std::find(skip.begin(), skip.end(), key) != skip.end())
-            continue; // duplicates of these resolve to the first (find())
+            continue;
         const std::string sub = path + "." + key;
         JsonReader reader{key, member, sub, point};
         sim::walkFields(record, reader);
@@ -199,7 +156,7 @@ JsonReader::operator()(const sim::Group<R> &g)
         readObject(g.record, value, path, point);
 }
 
-/** Parse JSON member @p key of @p obj (if present) into its field. */
+/** Parse member @p key of @p obj, if present, into its field. */
 template <class R>
 void
 readKey(R &record, const Json &obj, const std::string &key,
@@ -212,38 +169,20 @@ readKey(R &record, const Json &obj, const std::string &key,
     }
 }
 
-template <class V>
-void
-writeValue(std::string &out, V v)
-{
-    if constexpr (std::is_same_v<V, bool>)
-        out += v ? "true" : "false";
-    else if constexpr (std::is_same_v<V, double>)
-        out += jsonNumber(v);
-    else if constexpr (std::is_enum_v<V>)
-        out += jsonQuote(toString(v));
-    else
-        out += jsonNumber(std::uint64_t(v));
-}
-
 template <class R>
-void writeObject(std::string &out, const R &record);
+std::string toJson(const R &record);
 
 /** Appends the kJson fields of one record as JSON members. */
 struct JsonWriter
 {
     std::string &out;
-    bool first = true;
 
     bool
     key(const char *name, unsigned flags)
     {
         if ((flags & sim::kJson) == 0)
             return false;
-        out += first ? "\"" : ",\"";
-        out += name;
-        out += "\":";
-        first = false;
+        out += std::string(out.size() > 1 ? ",\"" : "\"") + name + "\":";
         return true;
     }
 
@@ -251,8 +190,17 @@ struct JsonWriter
     void
     operator()(const sim::Field<T> &f)
     {
-        if (key(f.name, f.flags))
-            writeValue(out, f.member);
+        using V = typename sim::Field<T>::Value;
+        if (!key(f.name, f.flags))
+            return;
+        if constexpr (std::is_same_v<V, bool>)
+            out += f.member ? "true" : "false";
+        else if constexpr (std::is_enum_v<V>)
+            out += jsonQuote(toString(f.member));
+        else if constexpr (std::is_same_v<V, double>)
+            out += jsonNumber(f.member);
+        else
+            out += jsonNumber(std::uint64_t(f.member));
     }
 
     template <class R>
@@ -260,28 +208,19 @@ struct JsonWriter
     operator()(const sim::Group<R> &g)
     {
         if (key(g.name, g.flags))
-            writeObject(out, g.record);
+            out += toJson(g.record);
     }
 };
 
 /** @p record's kJson fields as one JSON object, declaration order. */
 template <class R>
-void
-writeObject(std::string &out, const R &record)
-{
-    out += "{";
-    JsonWriter writer{out};
-    sim::walkFields(record, writer);
-    out += "}";
-}
-
-template <class R>
 std::string
 toJson(const R &record)
 {
-    std::string out;
-    writeObject(out, record);
-    return out;
+    std::string out = "{";
+    JsonWriter writer{out};
+    sim::walkFields(record, writer);
+    return out + "}";
 }
 
 } // namespace
@@ -348,7 +287,7 @@ RequestPoint::fingerprint() const
     sim::Fnv1a f;
     f.u64(config.fingerprint());
     f.u64(workload.fingerprint());
-    return f.value();
+    return f.value;
 }
 
 core::MachineConfig

@@ -22,17 +22,13 @@
  *    default and "succeed" with the wrong simulation. Type
  *    mismatches, out-of-range values and structurally invalid
  *    configs (cores not divisible by chips) are errors too. Every
- *    error names the offending field path and the point index, and no
- *    accepted config can fail inside the Machine.
+ *    error names the offending field path and the point index.
  *
- *  - One declaration per knob: the keys, their types and their
- *    ranges are the kJson entries of each record's visitFields()
- *    (MachineConfig and its sub-configs, WorkloadSpec, KernelResult;
- *    see sim/fields.hh). parse and serialize are generic drivers over
- *    those lists, and range errors come from core::validate(), the
- *    same validator the Machine constructor runs. A new knob is
- *    declared once, appended to its record's list; moving or removing
- *    an entry needs a kFingerprintVersion bump.
+ *  - One declaration per knob: keys and types are the kJson entries
+ *    of each record's visitFields() (sim/fields.hh); ranges are
+ *    checked by core::validate(), the validator the Machine runs.
+ *    Append a new knob to its record's list; moving or removing an
+ *    entry needs a kFingerprintVersion bump.
  *
  *  - Canonicalization: serialize() emits every supported key in
  *    declaration order with shortest-round-trip numbers. Hence
@@ -147,24 +143,23 @@ struct WorkloadSpec
     static void
     visitFields(Self &self, V &v)
     {
-        constexpr auto kJson = sim::kJson;
-        v(sim::field("kind", self.kind, Kind::TightLoop, Kind::Cas, kJson));
+        using sim::field, sim::kJson;
+        v(field("kind", self.kind, Kind::TightLoop, Kind::Cas, kJson));
         switch (self.kind) {
           case Kind::TightLoop:
-            v(sim::field("iterations", self.tightLoop.iterations, kJson));
-            v(sim::field("arrayElems", self.tightLoop.arrayElems, kJson));
-            v(sim::field("runLimit", self.tightLoop.runLimit, kJson));
+            v(field("iterations", self.tightLoop.iterations, kJson));
+            v(field("arrayElems", self.tightLoop.arrayElems, kJson));
+            v(field("runLimit", self.tightLoop.runLimit, kJson));
             break;
           case Kind::Cas:
-            v(sim::field("kernel", self.casKernel,
-                         workloads::CasKernel::Fifo,
-                         workloads::CasKernel::Add, kJson));
-            v(sim::field("criticalSectionInstr",
-                         self.cas.criticalSectionInstr, kJson));
-            v(sim::field("duration", self.cas.duration, kJson));
+            v(field("kernel", self.casKernel, workloads::CasKernel::Fifo,
+                    workloads::CasKernel::Add, kJson));
+            v(field("criticalSectionInstr", self.cas.criticalSectionInstr,
+                    kJson));
+            v(field("duration", self.cas.duration, kJson));
             break;
         }
-        v(sim::field("maxCycles", self.maxCycles, kJson));
+        v(field("maxCycles", self.maxCycles, kJson));
     }
 
     /** Version of the workload fingerprint stream layout (same bump

@@ -1,31 +1,18 @@
 /**
  * @file
- * Field lists: each config knob and result counter is declared once.
+ * Field lists: each config knob and result counter is declared once,
+ * in a static visitFields(Self &self, V &v) of its record (Self may be
+ * const), one entry per field:
  *
- * A record declares its fields in one static member template:
+ *   v(field("lossPct", self.lossPct, 0.0, 100.0, kJson)); // [lo, hi]
+ *   v(field("seed", self.seed, kJson));         // whole type domain
+ *   v(group("burst", self.burst, kJson));       // nested record
  *
- *   template <class Self, class V>
- *   static void
- *   visitFields(Self &self, V &v)
- *   {
- *       v(sim::field("lossPct", self.lossPct, 0.0, 100.0, sim::kJson));
- *       v(sim::field("seed", self.seed, sim::kJson)); // whole domain
- *       v(sim::group("burst", self.burst, sim::kJson));
- *   }
- *
- * Self is the record or a const record, so one list serves readers
- * and writers. Each entry names the field (its JSON key and path
- * segment), binds the member, gives the closed range [lo, hi] the
- * model accepts and says who sees it (FieldFlags). Everything that
- * used to mirror the struct by hand is a small driver over the list:
- * the fingerprint stream, the codec's parse and serialize, range
- * validation, the cache store's result words, bitIdentical() and
- * compatibleShape().
- *
- * The order of the entries IS the fingerprint stream and the cache
- * word layout. Append new fields at the end of their record; moving
- * or removing one changes persisted keys, so it needs a bump of the
- * record's kFingerprintVersion (which also retires old cache files).
+ * The fingerprint, the codec, validation, the cache store's result
+ * words, bitIdentical() and compatibleShape() are drivers over these
+ * lists. Entry order IS the fingerprint stream and the cache word
+ * layout: append new fields; moving or removing one needs a
+ * kFingerprintVersion bump (which also retires old cache files).
  */
 
 #ifndef WISYNC_SIM_FIELDS_HH
@@ -33,9 +20,9 @@
 
 #include <bit>
 #include <charconv>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -44,7 +31,7 @@
 
 namespace wisync::sim {
 
-/** Who sees a field (bit set; kNoFlags = fingerprint/validation only). */
+/** Who sees a field (kNoFlags: fingerprint and validation only). */
 enum FieldFlags : unsigned
 {
     kNoFlags = 0,
@@ -53,12 +40,12 @@ enum FieldFlags : unsigned
     /** Host telemetry, not a simulated observable: left out of
      *  bitIdentical() and the result JSON, kept in the cache words. */
     kHost = 1u << 1,
-    /** Structural geometry: configs reusing one Machine through
-     *  reset() must agree on it (compatibleShape()). */
+    /** Structural geometry that Machine::reset() cannot change
+     *  (compatibleShape()). */
     kShape = 1u << 2,
 };
 
-/** One leaf field. T may be const; lo/hi bound it inclusively. */
+/** One leaf field, valid within [lo, hi]. T may be const. */
 template <class T>
 struct Field
 {
@@ -80,10 +67,10 @@ struct Group
     unsigned flags;
 };
 
+/** The member's type, not deduced, so literal bounds convert to it. */
 template <class T>
 using FieldValue = std::type_identity_t<std::remove_const_t<T>>;
 
-/** A field restricted to [lo, hi]. */
 template <class T>
 Field<T>
 field(const char *name, T &member, FieldValue<T> lo, FieldValue<T> hi,
@@ -92,14 +79,12 @@ field(const char *name, T &member, FieldValue<T> lo, FieldValue<T> hi,
     return {name, member, lo, hi, flags};
 }
 
-/** A field whose whole type domain is valid (bools, seeds, ...). */
 template <class T>
 Field<T>
 field(const char *name, T &member, unsigned flags)
 {
     using V = std::remove_const_t<T>;
-    static_assert(!std::is_enum_v<V>,
-                  "enum fields declare their first and last value");
+    static_assert(!std::is_enum_v<V>, "enum fields name their range");
     return {name, member, std::numeric_limits<V>::lowest(),
             std::numeric_limits<V>::max(), flags};
 }
@@ -111,7 +96,6 @@ group(const char *name, R &record, unsigned flags)
     return {name, record, flags};
 }
 
-/** Walk @p record's declaration with @p v (R may be const). */
 template <class R, class V>
 void
 walkFields(R &record, V &v)
@@ -119,8 +103,8 @@ walkFields(R &record, V &v)
     std::remove_const_t<R>::visitFields(record, v);
 }
 
-/** A field value as one fixed-width word: integers and enums by
- *  value, bools 0/1, doubles by bit pattern. */
+/** A value as one word: integers and enums by value, bools 0/1,
+ *  doubles by bit pattern. */
 template <class V>
 std::uint64_t
 toWord(V v)
@@ -131,7 +115,6 @@ toWord(V v)
         return static_cast<std::uint64_t>(v);
 }
 
-/** Inverse of toWord(). */
 template <class V>
 V
 fromWord(std::uint64_t w)
@@ -144,17 +127,16 @@ fromWord(std::uint64_t w)
         return static_cast<V>(w);
 }
 
-/** Where a value left its declared range. */
-struct RangeViolation
+/** A broken constraint: the dotted field path and why. */
+struct FieldIssue
 {
-    /** Dotted path of JSON names, e.g. "wireless.burst.pGoodToBad". */
     std::string field;
     std::string message;
 };
 
 namespace detail {
 
-/** Flattens groups: calls fn(field) for every leaf, in order. */
+/** Calls fn(field) for every leaf, groups flattened, in order. */
 template <class Fn>
 struct LeafWalker
 {
@@ -177,53 +159,47 @@ struct LeafWalker
 
 template <class V>
 std::string
-formatValue(V v)
+format(V v)
 {
     if constexpr (std::is_same_v<V, double>) {
         char buf[32];
-        const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-        return ec == std::errc() ? std::string(buf, end) : "?";
+        return std::string(buf, std::to_chars(buf, buf + 32, v).ptr);
     } else {
         return std::to_string(toWord(v));
     }
 }
 
-/** findRangeViolation()'s walker. */
+/** Finds the first leaf outside its range, tracking the group path. */
 struct RangeChecker
 {
-    RangeViolation &out;
-    InlineVec<const char *, 8> groups = {};
-    bool found = false;
+    std::optional<FieldIssue> &issue;
+    std::string prefix = {};
 
     template <class T>
     void
     operator()(const Field<T> &f)
     {
-        if (found || (f.lo <= f.member && f.member <= f.hi))
-            return;
-        found = true;
-        out.field.clear();
-        for (const char *g : groups)
-            out.field += std::string(g) + ".";
-        out.field += f.name;
-        out.message = "must be within [" + detail::formatValue(f.lo) +
-                      ", " + detail::formatValue(f.hi) + "], got " +
-                      detail::formatValue(f.member);
+        if (!issue && !(f.lo <= f.member && f.member <= f.hi))
+            issue = FieldIssue{prefix + f.name,
+                               "must be within [" + format(f.lo) + ", " +
+                                   format(f.hi) + "], got " +
+                                   format(f.member)};
     }
 
-    template <class G>
+    template <class R>
     void
-    operator()(const Group<G> &g)
+    operator()(const Group<R> &g)
     {
-        groups.push_back(g.name);
+        const std::size_t outer = prefix.size();
+        prefix = prefix + g.name + ".";
         walkFields(g.record, *this);
-        groups.pop_back();
+        prefix.resize(outer);
     }
 };
 
 } // namespace detail
 
-/** Call @p fn on every leaf field of @p record, groups flattened. */
+/** Call @p fn on every leaf field of @p record, in order. */
 template <class R, class Fn>
 void
 forEachField(R &record, Fn &&fn)
@@ -232,18 +208,7 @@ forEachField(R &record, Fn &&fn)
     walkFields(record, walker);
 }
 
-/** Number of leaf fields of R (its cache word count). */
-template <class R>
-std::size_t
-fieldCount()
-{
-    R record{};
-    std::size_t n = 0;
-    forEachField(record, [&](const auto &) { ++n; });
-    return n;
-}
-
-/** FNV-1a over @p tag and then every leaf field's word, in order. */
+/** FNV-1a over @p tag, then every leaf field's word. */
 template <class R>
 std::uint64_t
 fieldFingerprint(const R &record, std::uint64_t tag)
@@ -251,12 +216,12 @@ fieldFingerprint(const R &record, std::uint64_t tag)
     Fnv1a h;
     h.u64(tag);
     forEachField(record, [&](const auto &f) { h.u64(toWord(f.member)); });
-    return h.value();
+    return h.value;
 }
 
 /**
- * True when @p a and @p b agree, word for word (doubles by bit
- * pattern), on every field that carries all of @p require and none of
+ * True when @p a and @p b hold the same words (doubles compare by bit
+ * pattern) in every field carrying all of @p require and none of
  * @p exclude. R's field list must not depend on field values.
  */
 template <class R>
@@ -275,24 +240,20 @@ sameFields(const R &a, const R &b, unsigned require, unsigned exclude)
     bool same = true;
     forEachField(b, [&](const auto &f) {
         if (keep(f.flags))
-            same = same && i < words.size() &&
-                   words[i++] == toWord(f.member);
+            same = same && words[i++] == toWord(f.member);
     });
-    return same && i == words.size();
+    return same;
 }
 
-
-/**
- * The first field of @p record, in declaration order, whose value is
- * outside its declared range. @return false when every field holds.
- */
+/** The first field of @p record, in order, outside its range. */
 template <class R>
-bool
-findRangeViolation(const R &record, RangeViolation &out)
+std::optional<FieldIssue>
+findRangeIssue(const R &record)
 {
-    detail::RangeChecker checker{out};
+    std::optional<FieldIssue> issue;
+    detail::RangeChecker checker{issue};
     walkFields(record, checker);
-    return checker.found;
+    return issue;
 }
 
 } // namespace wisync::sim

@@ -1,8 +1,7 @@
 /**
  * @file
- * 64-bit FNV-1a, the one hash behind every process-stable fingerprint
- * (configs, workloads, request points) and the cache store's record
- * checksums.
+ * 64-bit FNV-1a: every process-stable fingerprint (configs, workloads,
+ * request points) and the cache store's record checksums.
  */
 
 #ifndef WISYNC_SIM_FNV_HH
@@ -13,44 +12,33 @@
 
 namespace wisync::sim {
 
-/** Streaming FNV-1a over bytes; u64() feeds 8 little-endian bytes. */
-class Fnv1a
+/** Streaming FNV-1a; u64() feeds 8 little-endian bytes. */
+struct Fnv1a
 {
-  public:
+    std::uint64_t value = 0xCBF29CE484222325ull;
+
     void
-    bytes(const char *data, std::size_t n)
+    byte(std::uint64_t b)
     {
-        for (std::size_t i = 0; i < n; ++i)
-            byte(static_cast<unsigned char>(data[i]));
+        value = (value ^ b) * 0x100000001B3ull;
     }
 
     void
     u64(std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i)
-            byte((v >> (i * 8)) & 0xFF);
+            byte((v >> (8 * i)) & 0xFF);
     }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    void
-    byte(std::uint64_t b)
-    {
-        h_ ^= b;
-        h_ *= 0x100000001B3ull;
-    }
-
-    std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
-/** FNV-1a of one byte buffer. */
+/** FNV-1a of one buffer. */
 inline std::uint64_t
 fnv1a(const char *data, std::size_t n)
 {
     Fnv1a h;
-    h.bytes(data, n);
-    return h.value();
+    for (std::size_t i = 0; i < n; ++i)
+        h.byte(static_cast<unsigned char>(data[i]));
+    return h.value;
 }
 
 } // namespace wisync::sim

@@ -100,13 +100,12 @@ struct BurstParams
     static void
     visitFields(Self &self, V &v)
     {
-        v(sim::field("enabled", self.enabled, sim::kJson));
-        v(sim::field("goodLossPct", self.goodLossPct, 0.0, 100.0,
-                     sim::kJson));
-        v(sim::field("badLossPct", self.badLossPct, 0.0, 100.0,
-                     sim::kJson));
-        v(sim::field("pGoodToBad", self.pGoodToBad, 0.0, 1.0, sim::kJson));
-        v(sim::field("pBadToGood", self.pBadToGood, 0.0, 1.0, sim::kJson));
+        using sim::field, sim::kJson;
+        v(field("enabled", self.enabled, kJson));
+        v(field("goodLossPct", self.goodLossPct, 0.0, 100.0, kJson));
+        v(field("badLossPct", self.badLossPct, 0.0, 100.0, kJson));
+        v(field("pGoodToBad", self.pGoodToBad, 0.0, 1.0, kJson));
+        v(field("pBadToGood", self.pBadToGood, 0.0, 1.0, kJson));
     }
 };
 

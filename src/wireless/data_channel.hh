@@ -121,43 +121,37 @@ struct WirelessConfig
 
     bool operator==(const WirelessConfig &) const = default;
 
-    /**
-     * The field list (sim/fields.hh). Exponents are capped so every
-     * 2^exp wait fits a cycle count.
-     */
+    /** The field list (sim/fields.hh). Exponents are capped so every
+     *  2^exp wait fits a cycle count. */
     template <class Self, class V>
     static void
     visitFields(Self &self, V &v)
     {
-        constexpr auto kJson = sim::kJson;
-        v(sim::field("dataCycles", self.dataCycles, 1, UINT32_MAX,
-                     sim::kNoFlags));
-        v(sim::field("bulkCycles", self.bulkCycles, sim::kNoFlags));
-        v(sim::field("collisionCycles", self.collisionCycles,
-                     sim::kNoFlags));
-        v(sim::field("fastpath", self.fastpath, sim::kNoFlags));
-        v(sim::field("lossPct", self.lossPct, 0.0, 100.0, kJson));
-        v(sim::field("berFromSnr", self.berFromSnr, kJson));
-        v(sim::field("txPowerDbm", self.txPowerDbm, -100.0, 100.0, kJson));
-        v(sim::field("ackTimeoutCycles", self.ackTimeoutCycles, kJson));
-        v(sim::field("maxRetries", self.maxRetries, kJson));
-        v(sim::field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32,
-                     kJson));
-        v(sim::group("burst", self.burst, kJson));
-        v(sim::field("channelLossBaseDb", self.channelLossBaseDb, -200.0,
-                     200.0, kJson));
-        v(sim::field("channelLossStepDb", self.channelLossStepDb, -200.0,
-                     200.0, kJson));
-        v(sim::field("spectrumSlots", self.spectrumSlots, kJson));
-        v(sim::field("mac", self.macKind, MacKind::Brs, MacKind::Adaptive,
-                     kJson));
-        v(sim::field("maxBackoffExp", self.maxBackoffExp, 0, 32, kJson));
-        v(sim::field("tokenPassCycles", self.tokenPassCycles, kJson));
-        v(sim::field("tokenFrameBits", self.tokenFrameBits, kJson));
-        v(sim::field("tokenHoldCycles", self.tokenHoldCycles, kJson));
-        v(sim::field("adaptWindowEvents", self.adaptWindowEvents, kJson));
-        v(sim::field("adaptHiPct", self.adaptHiPct, 0, 100, kJson));
-        v(sim::field("adaptLoPct", self.adaptLoPct, 0, 100, kJson));
+        using sim::field, sim::group, sim::kJson, sim::kNoFlags;
+        v(field("dataCycles", self.dataCycles, 1, UINT32_MAX, kNoFlags));
+        v(field("bulkCycles", self.bulkCycles, kNoFlags));
+        v(field("collisionCycles", self.collisionCycles, kNoFlags));
+        v(field("fastpath", self.fastpath, kNoFlags));
+        v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
+        v(field("berFromSnr", self.berFromSnr, kJson));
+        v(field("txPowerDbm", self.txPowerDbm, -100.0, 100.0, kJson));
+        v(field("ackTimeoutCycles", self.ackTimeoutCycles, kJson));
+        v(field("maxRetries", self.maxRetries, kJson));
+        v(field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32, kJson));
+        v(group("burst", self.burst, kJson));
+        v(field("channelLossBaseDb", self.channelLossBaseDb, -200.0, 200.0,
+                kJson));
+        v(field("channelLossStepDb", self.channelLossStepDb, -200.0, 200.0,
+                kJson));
+        v(field("spectrumSlots", self.spectrumSlots, kJson));
+        v(field("mac", self.macKind, MacKind::Brs, MacKind::Adaptive, kJson));
+        v(field("maxBackoffExp", self.maxBackoffExp, 0, 32, kJson));
+        v(field("tokenPassCycles", self.tokenPassCycles, kJson));
+        v(field("tokenFrameBits", self.tokenFrameBits, kJson));
+        v(field("tokenHoldCycles", self.tokenHoldCycles, kJson));
+        v(field("adaptWindowEvents", self.adaptWindowEvents, kJson));
+        v(field("adaptHiPct", self.adaptHiPct, 0, 100, kJson));
+        v(field("adaptLoPct", self.adaptLoPct, 0, 100, kJson));
     }
 };
 

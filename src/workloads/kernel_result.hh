@@ -98,41 +98,35 @@ struct KernelResult
                                  static_cast<double>(cycles);
     }
 
-    /**
-     * The field list (sim/fields.hh): the result JSON (kJson), the
-     * cache store's words (every field, in this order) and
-     * bitIdentical() (every field but kHost). A new counter is one
-     * entry here plus its capture in captureChannelStats().
-     */
+    /** The field list (sim/fields.hh). A new counter is one entry
+     *  here plus its capture in captureChannelStats(). */
     template <class Self, class V>
     static void
     visitFields(Self &self, V &v)
     {
-        constexpr auto kJson = sim::kJson;
-        v(sim::field("cycles", self.cycles, kJson));
-        v(sim::field("completed", self.completed, kJson));
-        v(sim::field("operations", self.operations, kJson));
-        v(sim::field("dataChannelUtilisation", self.dataChannelUtilisation,
-                     kJson));
-        v(sim::field("collisions", self.collisions, kJson));
-        v(sim::field("macBackoffCycles", self.macBackoffCycles, kJson));
-        v(sim::field("macTokenWaits", self.macTokenWaits, kJson));
-        v(sim::field("macTokenRotations", self.macTokenRotations, kJson));
-        v(sim::field("macModeSwitches", self.macModeSwitches, kJson));
-        v(sim::field("wirelessDrops", self.wirelessDrops, kJson));
-        v(sim::field("macAckTimeouts", self.macAckTimeouts, kJson));
-        v(sim::field("macRetransmits", self.macRetransmits, kJson));
-        v(sim::field("macGiveups", self.macGiveups, kJson));
-        v(sim::field("bridgeFrames", self.bridgeFrames, kJson));
-        v(sim::field("bridgeBusyCycles", self.bridgeBusyCycles, kJson));
-        v(sim::field("staleRmwAborts", self.staleRmwAborts, kJson));
-        v(sim::field("bridgeDrops", self.bridgeDrops, kJson));
-        v(sim::field("bridgeAckTimeouts", self.bridgeAckTimeouts, kJson));
-        v(sim::field("bridgeRetransmits", self.bridgeRetransmits, kJson));
-        v(sim::field("bridgeGiveups", self.bridgeGiveups, kJson));
-        v(sim::field("fastpathHits", self.fastpathHits, sim::kHost));
-        v(sim::field("fastpathFallbacks", self.fastpathFallbacks,
-                     sim::kHost));
+        using sim::field, sim::kJson, sim::kHost;
+        v(field("cycles", self.cycles, kJson));
+        v(field("completed", self.completed, kJson));
+        v(field("operations", self.operations, kJson));
+        v(field("dataChannelUtilisation", self.dataChannelUtilisation, kJson));
+        v(field("collisions", self.collisions, kJson));
+        v(field("macBackoffCycles", self.macBackoffCycles, kJson));
+        v(field("macTokenWaits", self.macTokenWaits, kJson));
+        v(field("macTokenRotations", self.macTokenRotations, kJson));
+        v(field("macModeSwitches", self.macModeSwitches, kJson));
+        v(field("wirelessDrops", self.wirelessDrops, kJson));
+        v(field("macAckTimeouts", self.macAckTimeouts, kJson));
+        v(field("macRetransmits", self.macRetransmits, kJson));
+        v(field("macGiveups", self.macGiveups, kJson));
+        v(field("bridgeFrames", self.bridgeFrames, kJson));
+        v(field("bridgeBusyCycles", self.bridgeBusyCycles, kJson));
+        v(field("staleRmwAborts", self.staleRmwAborts, kJson));
+        v(field("bridgeDrops", self.bridgeDrops, kJson));
+        v(field("bridgeAckTimeouts", self.bridgeAckTimeouts, kJson));
+        v(field("bridgeRetransmits", self.bridgeRetransmits, kJson));
+        v(field("bridgeGiveups", self.bridgeGiveups, kJson));
+        v(field("fastpathHits", self.fastpathHits, kHost));
+        v(field("fastpathFallbacks", self.fastpathFallbacks, kHost));
     }
 };
 
