@@ -102,15 +102,16 @@ yield(sim::Engine &engine)
  * Models any hardware resource that serializes transactions: a
  * directory entry busy-bit, a cache bank port, a MAC transmit slot.
  *
- * Besides the classic lock()/unlock() protocol, a holder can take the
- * mutex as a *timed reservation* (tryReserve): the resource is busy
- * until a known future cycle, but no release event is scheduled — the
- * reservation simply stops mattering once the cycle is reached. Only
- * when a contender actually shows up while the reservation is live is
- * the release event materialized (at exactly the cycle an eager
- * scheduleUnlock would have fired, preserving FIFO grant order and
- * grant cycles bit-for-bit). This is what lets an uncontended mesh
- * transfer hold a whole route for the cost of zero engine events.
+ * Besides the classic lock()/unlock() protocol, a holder can hold the
+ * mutex as a *timed reservation* (tryReserve, or scheduleUnlock after a
+ * lock): the resource is busy until a known future cycle, but no
+ * release event is scheduled — the reservation simply stops mattering
+ * once the cycle is reached. Only when a contender actually shows up
+ * while the reservation is live is the release event materialized (at
+ * exactly the (cycle, seq) an eager release event would have taken,
+ * preserving FIFO grant order and grant cycles bit-for-bit). This is
+ * what lets a mesh transfer hold a whole route for the cost of zero
+ * release events.
  */
 class SimMutex
 {
@@ -133,12 +134,7 @@ class SimMutex
             return false;
         }
 
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            mutex_.waiters_.push_back(h);
-            mutex_.materializeRelease();
-        }
+        void await_suspend(std::coroutine_handle<> h) { mutex_.queue(h); }
 
         void await_resume() const noexcept {}
 
@@ -165,11 +161,7 @@ class SimMutex
      * would succeed immediately. Unlike tryLock this has no side
      * effects — introspection for tests and tooling.
      */
-    bool
-    available() const
-    {
-        return !locked_ || reservationElapsed();
-    }
+    bool available() const { return !locked(); }
 
     /**
      * Try to acquire as a timed reservation releasing itself at
@@ -188,11 +180,23 @@ class SimMutex
         pollExpiry();
         if (locked_)
             return false;
-        WISYNC_ASSERT(until > engine_.now(), "reservation must end later");
         locked_ = true;
-        reservedUntil_ = until;
-        reservedSeq_ = engine_.reserveSeq();
+        holdUntil(until);
         return true;
+    }
+
+    /**
+     * Join the FIFO as @p h, which the mutex must not grant now (it is
+     * held: tryLock/tryReserve just failed). @p h is resumed, holding
+     * the mutex, by the release that hands it over. This is what a
+     * blocked lock() does; frameless callers (Mesh's transfer driver)
+     * queue their awaiting frame directly.
+     */
+    void
+    queue(std::coroutine_handle<> h)
+    {
+        waiters_.push_back(h);
+        materializeRelease();
     }
 
     /** End of the current timed reservation (0 = plain lock / free). */
@@ -216,17 +220,25 @@ class SimMutex
     }
 
     /**
-     * Release the lock @p delta cycles from now, from plain (non-
-     * coroutine) code. Models resources held for a fixed occupancy
+     * Release the held lock @p delta > 0 cycles from now, from plain
+     * (non-coroutine) code. Models resources held for a fixed occupancy
      * window, e.g. a mesh link busy until the tail flit crosses it.
+     * The hold becomes a timed reservation: its release claims its
+     * place in the execution order now but runs as an event only if a
+     * contender queues before it (see tryReserve).
      */
     void
     scheduleUnlock(sim::Cycle delta)
     {
-        engine_.scheduleIn(delta, [this] { unlock(); });
+        WISYNC_ASSERT(locked_, "scheduleUnlock of unlocked SimMutex");
+        holdUntil(engine_.now() + delta);
+        if (!waiters_.empty())
+            materializeRelease(); // queued during the plain lock
     }
 
-    bool locked() const { return locked_; }
+    /** Held at the current point of execution (an elapsed reservation
+     *  counts as released). */
+    bool locked() const { return locked_ && !reservationElapsed(); }
     std::size_t waiting() const { return waiters_.size(); }
 
     /**
@@ -280,9 +292,18 @@ class SimMutex
         }
     }
 
+    /** Hold the (locked) mutex until @p until as a reservation. */
+    void
+    holdUntil(sim::Cycle until)
+    {
+        WISYNC_ASSERT(until > engine_.now(), "reservation must end later");
+        reservedUntil_ = until;
+        reservedSeq_ = engine_.reserveSeq();
+    }
+
     /** First contender during a live reservation: materialize the
      *  release under the reserved seq — the exact (cycle, seq) slot an
-     *  eager scheduleUnlock would occupy. */
+     *  eager release event would occupy. */
     void
     materializeRelease()
     {

@@ -80,18 +80,20 @@ Mesh::nextHop(sim::NodeId cur, sim::NodeId dst) const
 }
 
 /**
- * Frameless head-flit driver for the uncontended case.
+ * Frameless head-flit driver.
  *
- * Awaited by send(); lives in send()'s (pooled) frame across the
- * single suspension. Each step runs at the cycle the wormhole
+ * Awaited by send() (possibly several times; see send()); lives in
+ * send()'s pooled frame. Each step runs at the cycle the wormhole
  * coroutine's head would reach that router — and, crucially, is
  * *scheduled* at the same instant the coroutine's per-hop delay would
  * be, so every insertion-sequence number the outside world can race
  * against is unchanged. A free link is taken as a timed reservation
- * (no release event unless a contender queues); a held link converts
- * the remaining route to the wormhole coroutine inside the same event,
- * putting the head into the link's FIFO exactly where the slow path
- * would have.
+ * (no release event unless a contender queues). A held link gets
+ * send()'s frame in its FIFO, exactly where transferAlong's blocked
+ * lock() would have queued; the grant resumes send(), which awaits the
+ * driver again, and the driver holds the link for the tail and moves
+ * on — the same reserved release and the same hop event, in the same
+ * order, that transferAlong issues after its lock() returns.
  */
 class Mesh::FastTransfer
 {
@@ -101,15 +103,23 @@ class Mesh::FastTransfer
         : mesh_(mesh), cur_(src), dst_(dst), flits_(flits)
     {}
 
+    /** The head reached dst_ and the tail delay has passed. */
+    bool arrived() const { return arrived_; }
+
     bool await_ready() const noexcept { return false; }
 
     void
     await_suspend(std::coroutine_handle<> h)
     {
         caller_ = h;
-        // The head enters the first link inline, in the co_await's own
-        // event — where transferAlong's first lock() would run.
-        step();
+        // The first await enters the first link inline, in the
+        // co_await's own event — where transferAlong's first lock()
+        // would run. A later await is a link grant, in the handoff
+        // event where transferAlong's lock() would return.
+        if (queued_)
+            granted();
+        else
+            step();
     }
 
     void await_resume() const noexcept {}
@@ -133,18 +143,32 @@ class Mesh::FastTransfer
         const Hop hop = mesh_.nextHop(cur_, dst_);
         coro::SimMutex &link = mesh_.links_[hop.link];
         // The link is busy until the tail flit crosses it (the same
-        // window transferAlong's scheduleUnlock(flits) would hold).
+        // window transferAlong's scheduleUnlock(flits) holds).
         if (!link.tryReserve(mesh_.engine_.now() + flits_)) {
-            // Held: the rest of the route goes through the wormhole
-            // coroutine, whose first lock attempt enqueues here — in
-            // this very event — exactly as the slow path's would.
-            mesh_.stats_.fastpathFallbacks.inc();
-            coro::spawnInline(mesh_.engine_,
-                              mesh_.transferAlong(cur_, dst_, flits_),
-                              [this] { caller_.resume(); });
+            if (!contended_) {
+                contended_ = true;
+                mesh_.stats_.fastpathFallbacks.inc();
+            }
+            queued_ = true;
+            link.queue(caller_);
             return;
         }
-        cur_ = hop.next;
+        advance(hop.next);
+    }
+
+    void
+    granted()
+    {
+        queued_ = false;
+        const Hop hop = mesh_.nextHop(cur_, dst_);
+        mesh_.links_[hop.link].scheduleUnlock(flits_);
+        advance(hop.next);
+    }
+
+    void
+    advance(sim::NodeId next)
+    {
+        cur_ = next;
         if (cur_ == dst_)
             mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, FinishFn{this});
         else
@@ -157,7 +181,9 @@ class Mesh::FastTransfer
         // Head arrived; the tail is flits-1 cycles behind. Single-flit
         // messages resume the sender inside this event, matching the
         // slow path's zero-cycle delay awaiter.
-        mesh_.stats_.fastpathHits.inc();
+        if (!contended_)
+            mesh_.stats_.fastpathHits.inc();
+        arrived_ = true;
         if (flits_ > 1)
             mesh_.engine_.resumeHandle(flits_ - 1, caller_);
         else
@@ -169,6 +195,11 @@ class Mesh::FastTransfer
     sim::NodeId dst_;
     std::uint32_t flits_;
     std::coroutine_handle<> caller_;
+    /** Waiting in a link's FIFO; the next await is its grant. */
+    bool queued_ = false;
+    /** Met a held link somewhere on the route. */
+    bool contended_ = false;
+    bool arrived_ = false;
 };
 
 coro::Task<void>
@@ -205,7 +236,11 @@ Mesh::send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
         // awaiters complete inline, locking the whole route in one
         // event, whereas the step chain would round-trip each hop
         // through the ready ring — a different same-cycle grant order.
-        co_await FastTransfer(*this, src, dst, flits);
+        // Each await returns at the head's arrival or at a link grant.
+        FastTransfer t(*this, src, dst, flits);
+        do
+            co_await t;
+        while (!t.arrived());
     } else {
         co_await transferAlong(src, dst, flits);
     }
@@ -219,41 +254,40 @@ Mesh::tailDelay(std::uint32_t flits)
 }
 
 coro::Task<void>
-Mesh::treeDeliver(sim::NodeId cur, NodeVec dsts, std::uint32_t flits)
+Mesh::treeDeliver(sim::NodeId cur, std::span<sim::NodeId> dsts,
+                  std::uint32_t flits)
 {
-    NodeVec east, west, north, south;
-    bool here = false;
-    for (const auto d : dsts) {
-        if (d == cur) {
-            here = true;
-        } else if (xOf(d) > xOf(cur)) {
-            east.push_back(d);
-        } else if (xOf(d) < xOf(cur)) {
-            west.push_back(d);
-        } else if (yOf(d) < yOf(cur)) {
-            north.push_back(d);
-        } else {
-            south.push_back(d);
-        }
-    }
+    // Partition the targets in place into this router and the four
+    // XY branches; each branch then recurses on its own subrange.
+    // Order inside a group is irrelevant: every member shares the
+    // branch's first step and is partitioned again downstream.
+    std::span<sim::NodeId> rest = dsts;
+    const auto take = [&rest](auto pred) {
+        const auto mid = std::partition(rest.begin(), rest.end(), pred);
+        const std::span<sim::NodeId> group(rest.begin(), mid);
+        rest = std::span<sim::NodeId>(mid, rest.end());
+        return group;
+    };
+    const Coord c = coord_[cur];
+    const bool here =
+        !take([cur](sim::NodeId d) { return d == cur; }).empty();
+    const auto east = take([&](sim::NodeId d) { return xOf(d) > c.x; });
+    const auto west = take([&](sim::NodeId d) { return xOf(d) < c.x; });
+    const auto north = take([&](sim::NodeId d) { return yOf(d) < c.y; });
+    const auto south = rest;
 
     sim::InlineVec<coro::Task<void>, 4> branches;
-    auto descend = [&](NodeVec group) -> coro::Task<void> {
+    auto descend = [&](std::span<sim::NodeId> group) -> coro::Task<void> {
         // Every node of a branch shares its first XY step.
         const Hop hop = nextHop(cur, group.front());
         co_await links_[hop.link].lock();
         links_[hop.link].scheduleUnlock(flits);
         co_await coro::delay(engine_, cfg_.hopCycles);
-        co_await treeDeliver(hop.next, std::move(group), flits);
+        co_await treeDeliver(hop.next, group, flits);
     };
-    if (!east.empty())
-        branches.push_back(descend(std::move(east)));
-    if (!west.empty())
-        branches.push_back(descend(std::move(west)));
-    if (!north.empty())
-        branches.push_back(descend(std::move(north)));
-    if (!south.empty())
-        branches.push_back(descend(std::move(south)));
+    for (const auto group : {east, west, north, south})
+        if (!group.empty())
+            branches.push_back(descend(group));
 
     if (here && flits > 1) {
         // Local delivery: the tail arrives flits-1 cycles behind the
@@ -277,11 +311,14 @@ Mesh::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
     if (cfg_.treeMulticast) {
         stats_.messages.inc();
         stats_.flits.inc(flits);
+        // The tree partitions this copy in place; it lives here until
+        // the last branch delivers.
         NodeVec targets;
         targets.reserve(dsts.size());
         for (const auto d : dsts)
             targets.push_back(d);
-        co_await treeDeliver(src, std::move(targets), flits);
+        co_await treeDeliver(src, std::span(targets.data(), targets.size()),
+                             flits);
         co_return;
     }
 

@@ -18,21 +18,29 @@
  *    (`Baseline+`'s "virtual tree-based broadcast ... with flit
  *    replication at the router crossbars", Krishna et al. [22]).
  *
- * Uncontended fast path (MeshConfig::fastpath, default on, kill switch
+ * Link holds. Each link is a SimMutex held for `flits` cycles from the
+ * moment the head takes it, as a timed reservation: its release claims
+ * its place in the execution order at once but runs as an engine event
+ * only if a contender queues on the link during the hold. Holds cost
+ * no event on either route driver below.
+ *
+ * Frameless route driver (MeshConfig::fastpath, default on, kill switch
  * WISYNC_NO_FASTPATH=1): send() drives the head flit down the route
- * with a frameless step chain — one plain callback event per hop, at
- * exactly the cycles (and scheduling instants) the wormhole
- * coroutine's per-hop awaits would occupy — taking each link as a
- * timed SimMutex reservation instead of lock()+scheduleUnlock. An
- * uncontended unicast therefore costs hops+2 events, no coroutine
- * frame beyond send() itself and zero heap allocations (no route
- * vector, no release events: a reservation's release is materialized
- * lazily, at the identical cycle, only if a contender queues on the
- * link). The moment any link is found held, the remaining route falls
- * back to the wormhole coroutine inside the same engine event, so the
- * blocked head enqueues FIFO exactly where the slow path's would —
- * contention semantics, and therefore timing, are bit-for-bit
- * unchanged.
+ * with a chain of plain callback events, one per hop, at exactly the
+ * cycles (and scheduling instants) the wormhole coroutine's per-hop
+ * awaits would occupy. A contended route stays frameless too: at a
+ * held link the driver queues send()'s own frame in the link's FIFO,
+ * where the wormhole coroutine's lock() would have queued, and the
+ * grant resumes the chain. An uncontended unicast costs hops+2
+ * events; each wait adds only the link's materialized release and the
+ * grant. No route allocates a coroutine frame beyond send() itself,
+ * and every route consumes exactly the insertion-sequence numbers of
+ * the wormhole path — contention semantics, and therefore timing, are
+ * bit-for-bit unchanged. The wormhole coroutine (transferAlong) serves
+ * only the kill switch, as the identity oracle, and configs with
+ * hopCycles == 0 (see send()). MeshStats counts routes that met no
+ * held link (fastpathHits) and routes that queued at least once
+ * (fastpathFallbacks).
  */
 
 #ifndef WISYNC_NOC_MESH_HH
@@ -89,10 +97,10 @@ struct MeshStats
     sim::Counter flits;
     sim::Counter multicasts;
     sim::Accumulator latency;
-    /** Unicasts whose whole route was driven by the frameless chain. */
+    /** Frameless-driver unicasts that met no held link. */
     sim::Counter fastpathHits;
-    /** Unicasts that hit a held link and converted to the wormhole
-     *  coroutine (only counted while the fast path is enabled). */
+    /** Frameless-driver unicasts that queued on a held link at least
+     *  once (only counted while the fast path is enabled). */
     sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
@@ -177,18 +185,23 @@ class Mesh
     /** Next step on the XY route from @p cur toward @p dst != cur. */
     Hop nextHop(sim::NodeId cur, sim::NodeId dst) const;
 
-    /** Frameless uncontended-transfer driver (awaiter; see mesh.cc). */
+    /** Frameless route driver (awaiter; see mesh.cc). */
     class FastTransfer;
 
-    /** Wormhole transfer of the XY route from @p cur to @p dst. */
+    /** Wormhole transfer of the XY route from @p cur to @p dst (the
+     *  kill-switch oracle and hopCycles == 0). */
     coro::Task<void> transferAlong(sim::NodeId cur, sim::NodeId dst,
                                    std::uint32_t flits);
 
     /** Tail-flit arrival delay (flits-1 cycles). */
     coro::Task<void> tailDelay(std::uint32_t flits);
 
-    /** Recursive XY-tree delivery used in tree-multicast mode. */
-    coro::Task<void> treeDeliver(sim::NodeId cur, NodeVec dsts,
+    /**
+     * Recursive XY-tree delivery used in tree-multicast mode. @p dsts
+     * is caller-owned storage that the call partitions in place; it
+     * must outlive the await.
+     */
+    coro::Task<void> treeDeliver(sim::NodeId cur, std::span<sim::NodeId> dsts,
                                  std::uint32_t flits);
 
     sim::Engine &engine_;

@@ -42,7 +42,7 @@ asObject(const Json &v, const std::string &path, std::size_t point)
 // ---- Field-list drivers -----------------------------------------
 
 /** One JSON value of the field's declared type; ranges are checked
- *  later, by core::validate(), on the whole config. */
+ *  later, on the whole record (core::validate() for a config). */
 template <class V>
 V
 parseValue(const Json &j, const sim::Field<V> &f, const std::string &path,
@@ -327,6 +327,8 @@ ConfigCodec::parseWorkload(const Json &v, std::size_t point_index,
     readKey(spec, obj, "kind", path, point_index);
     readObject(spec, obj, path, point_index, {"kind"},
                std::string(" for workload '") + toString(spec.kind) + "'");
+    if (const auto issue = sim::findRangeIssue(spec))
+        fail(path + "." + issue->field, point_index, issue->message);
     return spec;
 }
 

@@ -26,7 +26,8 @@
  *
  *  - One declaration per knob: keys and types are the kJson entries
  *    of each record's visitFields() (sim/fields.hh); ranges are
- *    checked by core::validate(), the validator the Machine runs.
+ *    checked by core::validate(), the validator the Machine runs,
+ *    and for a workload by the same declared-range check.
  *    Append a new knob to its record's list; moving or removing an
  *    entry needs a kFingerprintVersion bump.
  *
@@ -148,7 +149,8 @@ struct WorkloadSpec
         switch (self.kind) {
           case Kind::TightLoop:
             v(field("iterations", self.tightLoop.iterations, kJson));
-            v(field("arrayElems", self.tightLoop.arrayElems, kJson));
+            v(field("arrayElems", self.tightLoop.arrayElems, 0,
+                    workloads::TightLoopParams::kMaxArrayElems, kJson));
             v(field("runLimit", self.tightLoop.runLimit, kJson));
             break;
           case Kind::Cas:

@@ -164,6 +164,7 @@ Engine::reset()
         for (auto &bucket : l0_)
             bucket.clear();
     l0Bits_ = Bitmap{};
+    l0Unsorted_ = Bitmap{};
     l0Count_ = 0;
     clearWheel(l1_);
     clearWheel(l2_);
@@ -179,16 +180,17 @@ Engine::reset()
 }
 
 void
-Engine::scheduleReserved(Cycle when, std::uint64_t seq, UniqueFunction fn)
+Engine::scheduleReserved(Cycle when, std::uint64_t seq, EventFn fn)
 {
     assert(when >= now_ && "cannot schedule a reserved event in the past");
-    Slot s{std::move(fn), nullptr, 0};
-    s.seq = seq;
+    Slot s{std::move(fn), seq};
     if (when > now_) {
-        // A later cycle: normal placement. The level-0 bucket list may
-        // now be seq-unordered; stageCurrentCycle()'s sort restores
-        // global insertion order before execution.
+        // A later cycle: normal placement. A level-0 bucket may now be
+        // seq-unordered, so mark it for stageCurrentCycle()'s sort;
+        // a coarser level is marked when it cascades down.
         place(when, std::move(s), /*cascade=*/false);
+        if ((when ^ now_) < kCalendarHorizon)
+            l0Unsorted_.set(static_cast<unsigned>(when & 255));
         return;
     }
     // Same cycle: the slot's reserved seq is ahead of the event being
@@ -354,17 +356,17 @@ Engine::stageCurrentCycle()
     l0Bits_.clear(idx);
     l0Count_ -= curBucket_->size();
 
-    // Cascading can interleave provenances; restore global insertion
-    // order. Almost always already sorted, so check first.
-    if (curBucket_->size() > 1 &&
-        !std::is_sorted(curBucket_->begin(), curBucket_->end(),
-                        [](const Slot &a, const Slot &b) {
-                            return a.seq < b.seq;
-                        }))
-        std::sort(curBucket_->begin(), curBucket_->end(),
-                  [](const Slot &a, const Slot &b) {
-                      return a.seq < b.seq;
-                  });
+    // A cascade or a reserved insert may have filed an older seq behind
+    // a newer one (see l0Unsorted_); restore global insertion order.
+    // Unmarked buckets are sorted by construction.
+    if (l0Unsorted_.test(idx)) {
+        l0Unsorted_.clear(idx);
+        const auto bySeq = [](const Slot &a, const Slot &b) {
+            return a.seq < b.seq;
+        };
+        if (!std::is_sorted(curBucket_->begin(), curBucket_->end(), bySeq))
+            std::sort(curBucket_->begin(), curBucket_->end(), bySeq);
+    }
 }
 
 bool
@@ -383,7 +385,7 @@ Engine::run(Cycle limit)
                 Slot s = std::move((*curBucket_)[curIdx_++]);
                 ++eventsExecuted_;
                 currentSeq_ = s.seq;
-                s.invoke();
+                s.fn.run();
                 if (stopped_)
                     return pendingEvents() == 0;
             }
@@ -395,7 +397,7 @@ Engine::run(Cycle limit)
             Slot s = ready_.pop();
             ++eventsExecuted_;
             currentSeq_ = s.seq;
-            s.invoke();
+            s.fn.run();
             if (stopped_)
                 return pendingEvents() == 0;
         }

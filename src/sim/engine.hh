@@ -30,15 +30,26 @@
  *                       min-heap; correctness fallback, not a fast
  *                       path.
  *
+ * Event slots. Every tier stores the same 32-byte Slot: an EventFn
+ * (sim/function.hh — a 16-byte inline buffer and one trampoline
+ * pointer) and the insertion sequence number. A coroutine resume is
+ * an EventFn whose payload is the coroutine handle, so resumes and
+ * callbacks share one dispatch path. Every payload the models
+ * schedule fits the buffer; a larger or non-trivially-copyable one
+ * (tests only) falls back to one heap allocation.
+ *
  * Determinism contract: execution order is exactly (cycle, global
  * insertion order), bit-identical to a single (when, seq) min-heap.
- * Every slot carries its insertion sequence number; when a cycle's
- * events are staged for execution they are sorted by that number if
- * cascading mixed their provenance (same-cycle arrivals during
- * execution are FIFO behind them by construction, since they are
- * inserted later than anything staged). tests/test_engine_determinism.cc
- * replays randomized schedules against a reference heap scheduler to
- * lock this in.
+ * Same-cycle arrivals during execution are FIFO behind the staged
+ * bucket by construction (they are inserted later than anything
+ * staged). A plain insert carries the largest seq issued so far, so
+ * appending it keeps a level-0 bucket sorted; only a cascade from a
+ * coarser level or a future-cycle scheduleReserved() can file an older
+ * seq behind a newer one. Those inserts mark their bucket, and staging
+ * sorts a bucket by seq only when it is marked (after an is_sorted
+ * check). tests/test_engine_determinism.cc replays randomized
+ * schedules, reserved inserts included, against a reference heap
+ * scheduler to lock this in.
  */
 
 #ifndef WISYNC_SIM_ENGINE_HH
@@ -101,28 +112,26 @@ class Engine
      * @param fn   Callback executed when simulated time reaches @p when.
      */
     void
-    schedule(Cycle when, UniqueFunction fn)
+    schedule(Cycle when, EventFn fn)
     {
-        scheduleSlot(when, Slot{std::move(fn), nullptr, 0});
+        scheduleSlot(when, Slot{std::move(fn), 0});
     }
 
     /** Schedule a callback @p delta cycles from now. */
-    void scheduleIn(Cycle delta, UniqueFunction fn)
+    void scheduleIn(Cycle delta, EventFn fn)
     {
-        scheduleSlot(now_ + delta, Slot{std::move(fn), nullptr, 0});
+        scheduleSlot(now_ + delta, Slot{std::move(fn), 0});
     }
 
     /**
-     * Fast path for coroutine wakeups: resume @p h at now() + delta.
-     *
-     * Equivalent to scheduleIn(delta, [h] { h.resume(); }) but
-     * guaranteed to stay inside the event slot's inline buffer. This is
-     * the route every awaiter in coro/primitives.hh takes.
+     * Resume coroutine @p h at now() + delta: scheduleIn with the
+     * handle as the payload. The route every awaiter in
+     * coro/primitives.hh takes.
      */
     void
     resumeHandle(Cycle delta, std::coroutine_handle<> h)
     {
-        scheduleSlot(now_ + delta, Slot{UniqueFunction{}, h.address(), 0});
+        scheduleSlot(now_ + delta, Slot{EventFn{h}, 0});
     }
 
     // ---- Reserved-sequence (deferred) events -------------------------
@@ -156,8 +165,7 @@ class Engine
      * and @p seq is still ahead of currentSeq() (the materialize-on-
      * demand pattern guarantees both).
      */
-    void scheduleReserved(Cycle when, std::uint64_t seq,
-                          UniqueFunction fn);
+    void scheduleReserved(Cycle when, std::uint64_t seq, EventFn fn);
 
     /**
      * Run until the event queue drains or @p limit is reached.
@@ -268,27 +276,13 @@ class Engine
     void reset();
 
   private:
-    /**
-     * One scheduled event: a callable or — on the coroutine fast path —
-     * a raw frame address (which skips both the type-erased dispatch
-     * and the inline-buffer copy when slots move between tiers), plus
-     * the insertion number.
-     */
+    /** One scheduled event: the callable and its insertion number. */
     struct Slot
     {
-        UniqueFunction fn;
-        void *handle = nullptr;
+        EventFn fn;
         std::uint64_t seq = 0;
-
-        void
-        invoke()
-        {
-            if (handle != nullptr)
-                std::coroutine_handle<>::from_address(handle).resume();
-            else
-                fn();
-        }
     };
+    static_assert(sizeof(Slot) == 32, "an event slot is half a cache line");
 
     /** Wheel levels >= 1 and the overflow heap also need the cycle. */
     struct TimedSlot
@@ -476,7 +470,9 @@ class Engine
             l0_[idx].push_back(std::move(s));
             l0Bits_.set(idx);
             ++l0Count_;
-            if (!cascade)
+            if (cascade)
+                l0Unsorted_.set(idx); // older seq behind a direct insert
+            else
                 ++tierStats_.calendar;
             return;
         }
@@ -520,6 +516,9 @@ class Engine
     // enclosing windows, so indices never collide across windows.
     std::array<std::vector<Slot>, 256> l0_;
     Bitmap l0Bits_;
+    // Level-0 buckets a cascade or a reserved insert may have put out
+    // of seq order (see the determinism contract above).
+    Bitmap l0Unsorted_;
     std::size_t l0Count_ = 0;
     Wheel l1_;
     Wheel l2_;

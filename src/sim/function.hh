@@ -1,28 +1,30 @@
 /**
  * @file
- * Move-only type-erased callable, used for event callbacks.
+ * Move-only type-erased callables.
  *
  * std::function requires copyability, which rules out lambdas that own
- * coroutine frames or other move-only resources. Unlike the original
- * minimal replacement, this version carries a 48-byte small-buffer
- * optimization: the lambdas scheduled on the hot path (a coroutine
- * handle, a `this` pointer, a pointer plus a counter) are stored inline
- * and never touch the heap, which is what makes the event kernel
- * allocation-free in steady state.
+ * coroutine frames or other move-only resources. Both callables here
+ * store small trivially-copyable payloads inline, so moving one is a
+ * plain byte copy (no per-type relocation call, no possibility of
+ * interior-pointer breakage). Anything larger or non-trivially-
+ * copyable — e.g. a lambda owning a vector — transparently falls back
+ * to a heap allocation.
  *
- * Inline storage is reserved for trivially-copyable payloads so that
- * moving a UniqueFunction is always a plain byte copy (no per-type
- * relocation call, no possibility of interior-pointer breakage).
- * Anything larger or non-trivially-copyable — e.g. a detached task
- * wrapper owning a coroutine frame, or a lambda owning a vector —
- * transparently falls back to a heap allocation, exactly as before.
+ *  - UniqueFunction: a 48-byte inline buffer, for callbacks that model
+ *    components carry around (the BM deliver closures a Mac::send or a
+ *    bridge frame transports capture several words of update state).
+ *  - EventFn: the engine's event callable, a 16-byte inline buffer and
+ *    one trampoline pointer. Coroutine resumes and every payload the
+ *    models schedule (`[this]`, `[p]`, `[this, f]`, one-pointer
+ *    functors) fit, which keeps an engine slot at 32 bytes and the
+ *    event kernel allocation-free in steady state.
  */
 
 #ifndef WISYNC_SIM_FUNCTION_HH
 #define WISYNC_SIM_FUNCTION_HH
 
-#include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -54,15 +56,6 @@ class UniqueFunction
             ops_ = &HeapOps<D>::ops;
         }
     }
-
-    /**
-     * Wrap a coroutine resume. The handle is 8 bytes and trivially
-     * copyable, so it always lands in the inline buffer; this is what
-     * Engine::resumeHandle stores.
-     */
-    explicit UniqueFunction(std::coroutine_handle<> h)
-        : UniqueFunction(HandleResume{h})
-    {}
 
     // Relocation copies the whole inline buffer: payloads smaller than
     // the buffer leave trailing bytes uninitialized, which is benign
@@ -104,12 +97,6 @@ class UniqueFunction
     bool usesInlineStorage() const { return ops_ && ops_->inlineStored; }
 
   private:
-    struct HandleResume
-    {
-        std::coroutine_handle<> h;
-        void operator()() const { h.resume(); }
-    };
-
     struct Ops
     {
         void (*call)(void *);
@@ -161,6 +148,140 @@ class UniqueFunction
 
     alignas(kInlineAlign) unsigned char storage_[kInlineSize];
     const Ops *ops_ = nullptr;
+};
+
+/**
+ * The engine's event callable: run once, then gone.
+ *
+ * One trampoline pointer serves both running and destroying the
+ * payload. A coroutine resume is just a std::coroutine_handle<>
+ * payload (its call operator resumes), so resumes and lambdas take the
+ * same dispatch path. run() consumes the callable (a heap payload is
+ * freed right after its call); the destructor only has work to do for
+ * an event that never ran — one discarded by Engine::reset() or
+ * ~Engine().
+ */
+class EventFn
+{
+  public:
+    /** Payloads up to this size (and trivially copyable) stay inline. */
+    static constexpr std::size_t kInlineSize = 16;
+    static constexpr std::size_t kInlineAlign = alignof(void *);
+    static_assert(kInlineSize == 2 * sizeof(std::uint64_t));
+
+    EventFn() = default;
+
+    template <typename F,
+              typename D = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
+                                          std::is_invocable_v<D &>>>
+    EventFn(F &&f)
+    {
+        if constexpr (storesInline<D>) {
+            ::new (static_cast<void *>(storage_)) D(std::forward<F>(f));
+            call_ = &inlineCall<D>;
+        } else {
+            D *p = new D(std::forward<F>(f));
+            std::memcpy(storage_, &p, sizeof(p));
+            call_ = &heapCall<D>;
+        }
+    }
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+    EventFn(EventFn &&other) noexcept : call_(other.call_)
+    {
+        copyPayload(storage_, other.storage_);
+        other.call_ = nullptr;
+    }
+
+    EventFn &
+    operator=(EventFn &&other) noexcept
+    {
+        if (this != &other) {
+            if (call_ != nullptr)
+                call_(storage_, false);
+            copyPayload(storage_, other.storage_);
+            call_ = std::exchange(other.call_, nullptr);
+        }
+        return *this;
+    }
+#pragma GCC diagnostic pop
+
+    EventFn(const EventFn &) = delete;
+    EventFn &operator=(const EventFn &) = delete;
+
+    ~EventFn()
+    {
+        if (call_ != nullptr)
+            call_(storage_, false);
+    }
+
+    explicit operator bool() const { return call_ != nullptr; }
+
+    /** Invoke the payload and release it (the callable is then empty). */
+    void
+    run()
+    {
+        std::exchange(call_, nullptr)(storage_, true);
+    }
+
+    /** True when a payload of type @p D is stored inline. */
+    template <typename D>
+    static constexpr bool storesInline =
+        sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
+        std::is_trivially_copyable_v<D>;
+
+  private:
+    /** Trampoline: run (and release) the payload, or only release it. */
+    using Call = void (*)(void *storage, bool run);
+
+    /**
+     * Copy the buffer as two 8-byte words. A payload is usually written
+     * by 8-byte stores (a frame address, a `this`) just before the slot
+     * moves — into the ready ring, then out of it one event later. A
+     * single 16-byte load of those bytes cannot be forwarded from the
+     * pending stores and stalls until they retire; the empty asm keeps
+     * the compiler from fusing the two word copies into one. Measured
+     * on a 4-vCPU x86 host, this alone took BM_CoroutineResumeZeroDelay
+     * from about 190 to about 125 us.
+     */
+    static void
+    copyPayload(unsigned char *dst, const unsigned char *src)
+    {
+        std::uint64_t lo;
+        std::uint64_t hi;
+        std::memcpy(&lo, src, sizeof(lo));
+        std::memcpy(&hi, src + sizeof(lo), sizeof(hi));
+#if defined(__GNUC__)
+        asm("" : "+r"(lo), "+r"(hi));
+#endif
+        std::memcpy(dst, &lo, sizeof(lo));
+        std::memcpy(dst + sizeof(lo), &hi, sizeof(hi));
+    }
+
+    template <typename D>
+    static void
+    inlineCall(void *p, bool run)
+    {
+        if (run)
+            (*std::launder(reinterpret_cast<D *>(p)))();
+    }
+
+    template <typename D>
+    static void
+    heapCall(void *p, bool run)
+    {
+        D *d;
+        std::memcpy(&d, p, sizeof(d));
+        if (run)
+            (*d)();
+        delete d;
+    }
+
+    alignas(kInlineAlign) unsigned char storage_[kInlineSize];
+    Call call_ = nullptr;
 };
 
 /**

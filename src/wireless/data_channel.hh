@@ -96,7 +96,7 @@ struct WirelessConfig
     /** Multi-chip: spectrum slots the FrequencyPlan may hand out.
      *  Chips sharing a slot share one channel + MAC arbitration
      *  domain; with >= numChips slots every chip's channel is
-     *  private. Ignored on single-chip machines. */
+     *  private. At least 1; ignored on single-chip machines. */
     std::uint32_t spectrumSlots = 4;
 
     /** Which MAC protocol arbitrates the channel (default: §5.3 BRS). */
@@ -143,7 +143,7 @@ struct WirelessConfig
                 kJson));
         v(field("channelLossStepDb", self.channelLossStepDb, -200.0, 200.0,
                 kJson));
-        v(field("spectrumSlots", self.spectrumSlots, kJson));
+        v(field("spectrumSlots", self.spectrumSlots, 1, UINT32_MAX, kJson));
         v(field("mac", self.macKind, MacKind::Brs, MacKind::Adaptive, kJson));
         v(field("maxBackoffExp", self.maxBackoffExp, 0, 32, kJson));
         v(field("tokenPassCycles", self.tokenPassCycles, kJson));

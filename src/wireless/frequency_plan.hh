@@ -22,6 +22,7 @@
 
 #include <cstdint>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace wisync::wireless {
@@ -34,12 +35,11 @@ class FrequencyPlan
                   std::uint32_t spectrum_slots = 4,
                   double loss_base_db = 0.0, double loss_step_db = 0.0)
         : numChips_(num_chips == 0 ? 1 : num_chips),
-          channels_(spectrum_slots == 0
-                        ? 1
-                        : (spectrum_slots < numChips_ ? spectrum_slots
-                                                      : numChips_)),
+          channels_(spectrum_slots < numChips_ ? spectrum_slots : numChips_),
           lossBaseDb_(loss_base_db), lossStepDb_(loss_step_db)
-    {}
+    {
+        WISYNC_ASSERT(spectrum_slots >= 1, "a plan needs a spectrum slot");
+    }
 
     std::uint32_t chips() const { return numChips_; }
 

@@ -58,7 +58,7 @@ runTightLoopOn(core::Machine &machine, const TightLoopParams &params)
     for (sim::NodeId n = 0; n < cores; ++n) {
         // A private array per thread, in its own region of memory.
         const sim::Addr array =
-            machine.allocMem(params.arrayElems * 8, 64);
+            machine.allocMem(std::uint64_t{params.arrayElems} * 8, 64);
         machine.spawnThread(n, [&barrier, array,
                                 &params](core::ThreadCtx &ctx) {
             return tightLoopThread(ctx, barrier.get(), array, &params);

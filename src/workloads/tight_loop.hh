@@ -29,6 +29,9 @@ struct TightLoopParams
     std::uint32_t iterations = 20;
     /** Elements summed per thread per iteration (paper: 50). */
     std::uint32_t arrayElems = 50;
+    /** Largest arrayElems a request may ask for: 8 MiB of array per
+     *  thread, already far past any cache the model has. */
+    static constexpr std::uint32_t kMaxArrayElems = 1u << 20;
     /** Abort horizon (degenerate MAC policies can livelock). */
     sim::Cycle runLimit = 4'000'000'000ull;
 

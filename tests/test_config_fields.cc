@@ -84,6 +84,34 @@ TEST(ConfigValidate, ReportsTheFirstBrokenFieldByPath)
     issue = validate(cfg);
     ASSERT_TRUE(issue.has_value());
     EXPECT_EQ(issue->field, "wireless.collisionCycles");
+
+    // Zero spectrum slots used to be accepted and silently mean one.
+    cfg.wireless.collisionCycles = 1;
+    cfg.wireless.spectrumSlots = 0;
+    issue = validate(cfg);
+    ASSERT_TRUE(issue.has_value());
+    EXPECT_EQ(issue->field, "wireless.spectrumSlots");
+}
+
+TEST(ConfigValidate, TightLoopArrayElemsHasADeclaredRange)
+{
+    const auto request = [](std::uint64_t elems) {
+        return R"({"points":[{"config":{"kind":"WiSync","cores":16},)"
+               R"("workload":{"kind":"tightloop","arrayElems":)" +
+               std::to_string(elems) + "}}]}";
+    };
+    const std::uint64_t max =
+        wisync::workloads::TightLoopParams::kMaxArrayElems;
+    EXPECT_EQ(ConfigCodec::parseRequest(request(max))
+                  .points.at(0)
+                  .workload.tightLoop.arrayElems,
+              max);
+    try {
+        (void)ConfigCodec::parseRequest(request(max + 1));
+        ADD_FAILURE() << "arrayElems past its range was accepted";
+    } catch (const ParseError &e) {
+        EXPECT_EQ(e.field(), "points[0].workload.arrayElems") << e.what();
+    }
 }
 
 // ---- the daemon survives every reported crash line -----------------

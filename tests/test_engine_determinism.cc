@@ -9,7 +9,10 @@
  * boundaries: zero delays, level-0 block crossings (deltas around 256),
  * level-1/level-2 window crossings (around 2^16), overflow-heap deltas
  * (>= 2^24), nested scheduling from inside callbacks, and run(limit)
- * parking between segments.
+ * parking between segments. It also attacks the rule that staging
+ * sorts only marked level-0 buckets: reserved-seq events filed into
+ * buckets that already hold later inserts, and level-1/level-2
+ * cascades that land behind direct level-0 inserts.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +52,16 @@ class RefEngine
     void scheduleIn(Cycle delta, std::function<void()> fn)
     {
         schedule(now_ + delta, std::move(fn));
+    }
+
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    void
+    scheduleReserved(Cycle when, std::uint64_t seq,
+                     std::function<void()> fn)
+    {
+        heap_.push_back(Ev{when, seq, std::move(fn)});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
     bool
@@ -152,6 +165,24 @@ struct Driver
         eng.scheduleIn(delta, [this, id] { fire(id); });
     }
 
+    /**
+     * Claim a seq now for an event a few cycles out, and file it later
+     * from a helper event that runs strictly before its cycle — by
+     * then the target bucket usually holds later-seq inserts.
+     */
+    void
+    reserve()
+    {
+        const int id = nextId++;
+        --budget;
+        const Cycle delta = 1 + rng() % 24;
+        const Cycle when = eng.now() + delta;
+        const std::uint64_t seq = eng.reserveSeq();
+        eng.scheduleIn(rng() % delta, [this, id, when, seq] {
+            eng.scheduleReserved(when, seq, [this, id] { fire(id); });
+        });
+    }
+
     void
     fire(int id)
     {
@@ -159,6 +190,8 @@ struct Driver
         const unsigned children = rng() % 3;
         for (unsigned c = 0; c < children && budget > 0; ++c)
             spawn(pickDelta(rng));
+        if (budget > 0 && rng() % 3 == 0)
+            reserve();
     }
 };
 
@@ -182,6 +215,20 @@ replay(std::uint32_t seed)
             d.spawn(pickDelta(outer));
         limit += outer() % 70'000;
         d.eng.run(limit);
+    }
+
+    // Phase 3: a level-1 or level-2 event, a park one cycle short of
+    // it, then an outside insert at its cycle. The insert goes straight
+    // to level 0; staging cascades the older event in behind it and
+    // must still run it first.
+    for (int i = 0; i < 16; ++i) {
+        const Cycle far = i % 2 == 0 ? 256 + outer() % 60'000
+                                     : 65'536 + outer() % 2'000'000;
+        const Cycle when = d.eng.now() + far;
+        d.spawn(far);
+        d.eng.run(when - 1);
+        d.spawn(when - d.eng.now());
+        d.spawn(when - d.eng.now());
     }
     d.eng.run();
     EXPECT_EQ(d.eng.pendingEvents(), 0u);

@@ -42,17 +42,17 @@ struct EventPin
 constexpr const char *kApp = "fluidanimate";
 
 constexpr EventPin kPins[] = {
-    {"baseline", ConfigKind::Baseline, 1, false, 67172,
+    {"baseline", ConfigKind::Baseline, 1, false, 64578,
      0x08d47e8f3864977cull},
-    {"baseline_plus", ConfigKind::BaselinePlus, 1, false, 89557,
+    {"baseline_plus", ConfigKind::BaselinePlus, 1, false, 85475,
      0xb393e881049c0460ull},
-    {"wisync_not", ConfigKind::WiSyncNoT, 1, false, 53746,
+    {"wisync_not", ConfigKind::WiSyncNoT, 1, false, 51991,
      0x1af39db5727446b3ull},
-    {"wisync", ConfigKind::WiSync, 1, false, 131558,
+    {"wisync", ConfigKind::WiSync, 1, false, 129732,
      0x4efd49e7b09d68a9ull},
-    {"wisync_2chip", ConfigKind::WiSync, 2, false, 195340,
+    {"wisync_2chip", ConfigKind::WiSync, 2, false, 193576,
      0xa15ea2a27a86cfa5ull},
-    {"wisync_2chip_lossy", ConfigKind::WiSync, 2, true, 195799,
+    {"wisync_2chip_lossy", ConfigKind::WiSync, 2, true, 194025,
      0x153a859f8f4b0fe6ull},
 };
 

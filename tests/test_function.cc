@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for UniqueFunction's small-buffer optimization and the
- * non-owning FunctionRef.
+ * Unit tests for the small-buffer optimizations of UniqueFunction and
+ * the engine's EventFn, and for the non-owning FunctionRef.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 namespace {
 
+using wisync::sim::EventFn;
 using wisync::sim::FunctionRef;
 using wisync::sim::UniqueFunction;
 
@@ -83,14 +84,69 @@ TEST(UniqueFunction, NonTriviallyCopyablePayloadFallsBackToHeap)
     EXPECT_EQ(out, 7);
 }
 
-TEST(UniqueFunction, CoroutineHandleWrapsInline)
+TEST(EventFn, CoroutineResumeAndModelPayloadsStayInline)
 {
-    // A raw handle is 8 bytes; the dedicated constructor must never
-    // allocate. (Resuming a real coroutine is covered by the engine
-    // and primitives tests; here we only check the storage class.)
-    UniqueFunction f{std::coroutine_handle<>{}};
-    EXPECT_TRUE(static_cast<bool>(f));
-    EXPECT_TRUE(f.usesInlineStorage());
+    // A resume stores the frame address; model events capture one or
+    // two words (`[this]`, `[p]`, `[this, f]`). Resuming a real
+    // coroutine is covered by the engine and primitives tests.
+    struct TwoWords
+    {
+        void *self;
+        void *f;
+        void operator()() const {}
+    };
+    static_assert(EventFn::storesInline<void *>);
+    static_assert(EventFn::storesInline<TwoWords>);
+    static_assert(!EventFn::storesInline<UniqueFunction>);
+    EventFn resume{std::coroutine_handle<>{}};
+    EXPECT_TRUE(static_cast<bool>(resume));
+
+    int hits = 0;
+    int *p = &hits;
+    EventFn a([p] { ++*p; });
+    EventFn b(std::move(a));
+    EXPECT_FALSE(static_cast<bool>(a));
+    b.run();
+    EXPECT_FALSE(static_cast<bool>(b)); // run() consumes
+    EXPECT_EQ(hits, 1);
+}
+
+TEST(EventFn, HeapPayloadIsReleasedExactlyOnce)
+{
+    // Run or discarded unrun (an engine reset), a heap payload is
+    // destroyed once, and moving the callable does not copy it.
+    auto counter = std::make_shared<int>(0);
+    int calls = 0;
+    struct Owning
+    {
+        std::shared_ptr<int> c;
+        int *calls;
+        Owning(std::shared_ptr<int> cc, int *n) : c(std::move(cc)), calls(n)
+        {}
+        Owning(Owning &&) = default;
+        ~Owning()
+        {
+            if (c)
+                ++*c;
+        }
+        void operator()() { ++*calls; }
+    };
+    static_assert(!EventFn::storesInline<Owning>);
+    {
+        EventFn ran{Owning{counter, &calls}};
+        const int before = *counter;
+        EventFn moved(std::move(ran));
+        moved.run();
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(*counter, before + 1);
+    }
+    {
+        EventFn unrun{Owning{counter, &calls}};
+        const int before = *counter;
+        unrun = EventFn([] {});
+        EXPECT_EQ(*counter, before + 1);
+    }
+    EXPECT_EQ(calls, 1);
 }
 
 TEST(UniqueFunction, MovePreservesInlinePayload)

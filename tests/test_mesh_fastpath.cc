@@ -5,12 +5,13 @@
  *  - sim::InlineVec unit suite (inline storage, heap spill, reuse,
  *    move-only elements — ASan covers the growth paths);
  *  - coro::SimMutex timed reservations (tryLock / tryReserve /
- *    lockedUntil, lazy release materialization, FIFO equivalence with
- *    the eager lock+scheduleUnlock protocol);
+ *    lockedUntil, the lazy scheduleUnlock hold, release
+ *    materialization, FIFO equivalence with an eager release event
+ *    scheduled by the test itself);
  *  - end-to-end identity: every figure-grid cell (ConfigKind x
  *    MacKind) must produce bit-identical KernelResults and memory/BM
  *    fingerprints with the fast paths on and off, forced-contention
- *    cases must fall back without changing a single cycle, and the
+ *    cases must queue without changing a single cycle, and the
  *    WISYNC_NO_FASTPATH env kill switch must reach the configs.
  */
 
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/machine.hh"
 #include "coro/primitives.hh"
@@ -170,20 +172,27 @@ TEST(SimMutexReserve, UncontestedReservationExpiresWithNoEvents)
     EXPECT_TRUE(second_ok);
 }
 
+/** How a holder gives the mutex back after its occupancy window. */
+enum class Release { Reserve, LazyHold, EagerEvent };
+
 TEST(SimMutexReserve, ContenderWaitsExactlyLikeEagerUnlock)
 {
-    // A reservation [t, t+7) and an eager lock+scheduleUnlock(7) must
+    // A reservation [t, t+7), a lock()+scheduleUnlock(7) hold and the
+    // eager protocol — lock() plus an unlock event 7 cycles out — must
     // grant a queued contender at the same cycle.
-    auto run = [](bool reserve) {
+    auto run = [](Release how) {
         Engine eng;
         SimMutex m(eng);
         Cycle granted = 0;
         spawnNow(eng, [&]() -> Task<void> {
-            if (reserve) {
+            if (how == Release::Reserve) {
                 EXPECT_TRUE(m.tryReserve(eng.now() + 7));
             } else {
                 co_await m.lock();
-                m.scheduleUnlock(7);
+                if (how == Release::LazyHold)
+                    m.scheduleUnlock(7);
+                else
+                    eng.scheduleIn(7, [&m] { m.unlock(); });
             }
             co_return;
         });
@@ -196,8 +205,67 @@ TEST(SimMutexReserve, ContenderWaitsExactlyLikeEagerUnlock)
         eng.run();
         return granted;
     };
-    EXPECT_EQ(run(true), run(false));
-    EXPECT_EQ(run(true), 7u);
+    EXPECT_EQ(run(Release::Reserve), run(Release::EagerEvent));
+    EXPECT_EQ(run(Release::LazyHold), run(Release::EagerEvent));
+    EXPECT_EQ(run(Release::EagerEvent), 7u);
+}
+
+/** Contended lock()+scheduleUnlock holds against the eager protocol:
+ *  random arrivals, random hold windows, several rounds per worker —
+ *  every grant lands at the same cycle and in the same order. */
+TEST(SimMutexReserve, LazyHoldMatchesEagerReleaseUnderContention)
+{
+    auto run = [](bool lazy) {
+        Engine eng;
+        SimMutex m(eng);
+        std::vector<std::pair<int, Cycle>> grants;
+        wisync::sim::Rng rng(0xC0FFEE);
+        for (int w = 0; w < 12; ++w) {
+            const Cycle start = rng.below(30);
+            const Cycle hold = 1 + rng.below(9);
+            const Cycle think = rng.below(12);
+            spawnNow(eng, [&eng, &m, &grants, lazy, w, start, hold,
+                           think]() -> Task<void> {
+                co_await wisync::coro::delay(eng, start);
+                for (int round = 0; round < 4; ++round) {
+                    co_await m.lock();
+                    grants.emplace_back(w, eng.now());
+                    if (lazy)
+                        m.scheduleUnlock(hold);
+                    else
+                        eng.scheduleIn(hold, [&m] { m.unlock(); });
+                    co_await wisync::coro::delay(eng, hold + think);
+                }
+            });
+        }
+        eng.run();
+        return grants;
+    };
+    const auto lazy = run(true);
+    EXPECT_EQ(lazy.size(), 48u);
+    EXPECT_EQ(lazy, run(false));
+}
+
+TEST(SimMutexReserve, UncontendedHoldExecutesNoReleaseEvent)
+{
+    // lock(), hold for 5 cycles, come back after 10: the only events
+    // are the coroutine's start and its delay resume. The eager
+    // protocol would have run a third (the release).
+    Engine eng;
+    SimMutex m(eng);
+    bool relocked = false;
+    spawnNow(eng, [&]() -> Task<void> {
+        co_await m.lock();
+        m.scheduleUnlock(5);
+        EXPECT_TRUE(m.locked());
+        co_await wisync::coro::delay(eng, 10);
+        EXPECT_FALSE(m.locked());
+        relocked = m.tryLock();
+    });
+    const std::uint64_t before = eng.eventsExecuted();
+    eng.run();
+    EXPECT_TRUE(relocked);
+    EXPECT_EQ(eng.eventsExecuted() - before, 2u);
 }
 
 TEST(SimMutexReserve, FifoOrderAcrossMixedProtocols)
@@ -260,7 +328,7 @@ TEST(MeshFastpath, UncontendedLatencyMatchesZeroLoadBothModes)
 }
 
 /** Two same-cycle senders crossing one shared link, both directions of
- *  the timing comparison: the later sender must fall back and every
+ *  the timing comparison: the later sender must queue and every
  *  completion cycle must match the fastpath-off run exactly. */
 TEST(MeshFastpath, ForcedContentionFallsBackCycleExact)
 {
@@ -286,7 +354,7 @@ TEST(MeshFastpath, ForcedContentionFallsBackCycleExact)
     run(false, &a_off, &b_off, &fb_off);
     EXPECT_EQ(a_on, a_off);
     EXPECT_EQ(b_on, b_off);
-    EXPECT_GE(fb_on, 1u); // the blocked head converted to the wormhole
+    EXPECT_GE(fb_on, 1u); // the blocked head queued on the link
     EXPECT_EQ(fb_off, 0u);
 }
 
@@ -343,6 +411,57 @@ TEST(MeshFastpath, RandomStormIsCycleIdenticalToWormhole)
         return checksum;
     };
     EXPECT_EQ(run(true), run(false));
+}
+
+/** Overlapping unicasts and tree multicasts on one congested mesh:
+ *  every message's delivery cycle must match the wormhole run. The
+ *  multicasts' link holds and the unicasts' frameless queueing meet on
+ *  the same links. */
+TEST(MeshFastpath, CongestedUnicastsAndTreeMulticastsMatchWormhole)
+{
+    auto run = [](bool fp) {
+        Engine eng;
+        MeshConfig c = meshCfg(fp);
+        c.treeMulticast = true;
+        Mesh mesh(eng, c);
+        wisync::sim::Rng rng(0xBEEF);
+        std::vector<Cycle> delivered(96, 0);
+        std::vector<std::vector<NodeId>> groups(16);
+        for (int t = 0; t < 96; ++t) {
+            const NodeId src = static_cast<NodeId>(rng.below(64));
+            const Cycle start = rng.below(60);
+            const std::uint32_t bits = rng.chance(0.5) ? 64 : 576;
+            if (t % 6 == 0) {
+                auto &dsts = groups[t / 6];
+                for (NodeId n = 0; n < 64; ++n)
+                    if (n != src && rng.chance(0.3))
+                        dsts.push_back(n);
+                wisync::coro::spawnFn(
+                    eng, start,
+                    [&mesh, &eng, &delivered, &dsts, src, bits,
+                     t]() -> Task<void> {
+                        co_await mesh.multicast(src, dsts, bits);
+                        delivered[t] = eng.now();
+                    });
+            } else {
+                const NodeId dst = static_cast<NodeId>(rng.below(64));
+                wisync::coro::spawnFn(
+                    eng, start,
+                    [&mesh, &eng, &delivered, src, dst, bits,
+                     t]() -> Task<void> {
+                        co_await mesh.send(src, dst, bits);
+                        delivered[t] = eng.now();
+                    });
+            }
+        }
+        eng.run();
+        return std::pair{delivered, mesh.stats().fastpathFallbacks.value()};
+    };
+    const auto [on, queued] = run(true);
+    const auto [off, offQueued] = run(false);
+    EXPECT_EQ(on, off);
+    EXPECT_GT(queued, 0u); // the storm really contended
+    EXPECT_EQ(offQueued, 0u);
 }
 
 // ---- Full figure-grid identity ---------------------------------------

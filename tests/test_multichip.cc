@@ -63,11 +63,13 @@ TEST(FrequencyPlan, FewerSlotsThanChipsShareChannelsRoundRobin)
 
 TEST(FrequencyPlan, DegenerateInputsClampToOne)
 {
+    // Zero chips still means one. Zero spectrum slots is no longer
+    // clamped: the validator rejects wireless.spectrumSlots = 0.
     const wisync::wireless::FrequencyPlan zeroChips(0, 4);
     EXPECT_EQ(zeroChips.chips(), 1u);
-    const wisync::wireless::FrequencyPlan zeroSlots(3, 0);
-    EXPECT_EQ(zeroSlots.channels(), 1u);
-    EXPECT_EQ(zeroSlots.chipsOnChannel(0), 3u);
+    const wisync::wireless::FrequencyPlan oneSlot(3, 1);
+    EXPECT_EQ(oneSlot.channels(), 1u);
+    EXPECT_EQ(oneSlot.chipsOnChannel(0), 3u);
 }
 
 // ---------------------------------------------------------------------

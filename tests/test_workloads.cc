@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "core/machine.hh"
 #include "workloads/apps.hh"
 #include "workloads/cas_kernels.hh"
 #include "workloads/livermore.hh"
@@ -43,6 +44,22 @@ TEST(TightLoop, CompletesOnAllConfigs)
         EXPECT_TRUE(r.completed);
         EXPECT_GT(r.cycles, 0u);
     }
+}
+
+TEST(TightLoop, ArraysPastTwoToTheTwentyNineElementsDoNotOverlap)
+{
+    // Each thread's array is arrayElems * 8 bytes. Formed in 32 bits,
+    // 2^29 + 1 elements wrapped to 8 bytes and every thread's array
+    // overlapped the next. The run is cut short; only the layout
+    // matters.
+    wisync::core::Machine m(
+        wisync::core::MachineConfig::make(ConfigKind::WiSync, 16));
+    TightLoopParams p;
+    p.iterations = 1;
+    p.arrayElems = (1u << 29) + 1;
+    p.runLimit = 200;
+    (void)wisync::workloads::runTightLoopOn(m, p);
+    EXPECT_GE(m.allocMem(8), 16 * (std::uint64_t{p.arrayElems} * 8));
 }
 
 TEST(TightLoop, WiSyncBeatsBaselineAndBaselinePlus)
