@@ -85,7 +85,7 @@ TEST(ConfigValidate, ReportsTheFirstBrokenFieldByPath)
     ASSERT_TRUE(issue.has_value());
     EXPECT_EQ(issue->field, "wireless.collisionCycles");
 
-    // Zero spectrum slots used to be accepted and silently mean one.
+    // Zero spectrum slots is out of range (a plan needs one slot).
     cfg.wireless.collisionCycles = 1;
     cfg.wireless.spectrumSlots = 0;
     issue = validate(cfg);

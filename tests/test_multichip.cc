@@ -63,8 +63,8 @@ TEST(FrequencyPlan, FewerSlotsThanChipsShareChannelsRoundRobin)
 
 TEST(FrequencyPlan, DegenerateInputsClampToOne)
 {
-    // Zero chips still means one. Zero spectrum slots is no longer
-    // clamped: the validator rejects wireless.spectrumSlots = 0.
+    // Zero chips means one. Zero spectrum slots is not clamped: the
+    // validator rejects wireless.spectrumSlots = 0.
     const wisync::wireless::FrequencyPlan zeroChips(0, 4);
     EXPECT_EQ(zeroChips.chips(), 1u);
     const wisync::wireless::FrequencyPlan oneSlot(3, 1);

@@ -49,8 +49,8 @@ TEST(TightLoop, CompletesOnAllConfigs)
 TEST(TightLoop, ArraysPastTwoToTheTwentyNineElementsDoNotOverlap)
 {
     // Each thread's array is arrayElems * 8 bytes. Formed in 32 bits,
-    // 2^29 + 1 elements wrapped to 8 bytes and every thread's array
-    // overlapped the next. The run is cut short; only the layout
+    // 2^29 + 1 elements would wrap to 8 bytes and every thread's array
+    // would overlap the next. The run is cut short; only the layout
     // matters.
     wisync::core::Machine m(
         wisync::core::MachineConfig::make(ConfigKind::WiSync, 16));
