@@ -187,9 +187,6 @@ class EventFn
         }
     }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
     EventFn(EventFn &&other) noexcept : call_(other.call_)
     {
         copyPayload(storage_, other.storage_);
@@ -207,7 +204,6 @@ class EventFn
         }
         return *this;
     }
-#pragma GCC diagnostic pop
 
     EventFn(const EventFn &) = delete;
     EventFn &operator=(const EventFn &) = delete;
@@ -280,7 +276,9 @@ class EventFn
         delete d;
     }
 
-    alignas(kInlineAlign) unsigned char storage_[kInlineSize];
+    // Zeroed, so a payload shorter than the buffer leaves no
+    // indeterminate bytes for copyPayload to read.
+    alignas(kInlineAlign) unsigned char storage_[kInlineSize] = {};
     Call call_ = nullptr;
 };
 
