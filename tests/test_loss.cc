@@ -81,6 +81,10 @@ struct LossyNet
                                                  seeder.fork()));
     }
 
+    // The engine outlives the members declared after it, but frames
+    // parked on them must be torn down while they still exist.
+    ~LossyNet() { engine.destroyLiveRoots(); }
+
     Engine engine;
     DataChannel channel;
     std::unique_ptr<MacProtocol> protocol;
@@ -97,6 +101,10 @@ struct LossChip
         for (BmAddr a = 0; a < 128; ++a)
             bm.storeArray().setTag(a, kPid);
     }
+
+    // The engine outlives the members declared after it, but frames
+    // parked on them must be torn down while they still exist.
+    ~LossChip() { engine.destroyLiveRoots(); }
 
     Engine engine;
     BmSystem bm;

@@ -71,6 +71,10 @@ struct ProtoNet
                                                  seeder.fork()));
     }
 
+    // The engine outlives the members declared after it, but frames
+    // parked on them must be torn down while they still exist.
+    ~ProtoNet() { engine.destroyLiveRoots(); }
+
     Engine engine;
     DataChannel channel;
     std::unique_ptr<MacProtocol> protocol;

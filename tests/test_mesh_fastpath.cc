@@ -47,6 +47,17 @@ using wisync::sim::InlineVec;
 using wisync::sim::NodeId;
 using wisync::wireless::MacKind;
 
+/**
+ * Declared after the components a test builds on @p eng: tears the
+ * engine's parked frames down while those components still exist
+ * (the engine itself is declared first, so it is destroyed last).
+ */
+struct DestroyRootsFirst
+{
+    Engine &eng;
+    ~DestroyRootsFirst() { eng.destroyLiveRoots(); }
+};
+
 // ---- InlineVec --------------------------------------------------------
 
 TEST(InlineVec, StaysInlineUpToCapacity)
@@ -307,6 +318,7 @@ TEST(MeshFastpath, UncontendedLatencyMatchesZeroLoadBothModes)
     for (const bool fp : {true, false}) {
         Engine eng;
         Mesh mesh(eng, meshCfg(fp));
+        const DestroyRootsFirst roots{eng};
         Cycle ctrl = 0, data = 0;
         spawnNow(eng, [&]() -> Task<void> {
             co_await mesh.send(0, 63, 64); // 1 flit
@@ -336,6 +348,7 @@ TEST(MeshFastpath, ForcedContentionFallsBackCycleExact)
                   std::uint64_t *fallbacks) {
         Engine eng;
         Mesh mesh(eng, meshCfg(fp));
+        const DestroyRootsFirst roots{eng};
         // Both routes share the row-0 links eastward: 0->7 and 1->7.
         spawnNow(eng, [&, a_done]() -> Task<void> {
             co_await mesh.send(0, 7, 576);
@@ -369,6 +382,7 @@ TEST(MeshFastpath, ZeroHopLatencyStaysCycleIdentical)
         MeshConfig c = meshCfg(fp);
         c.hopCycles = 0;
         Mesh mesh(eng, c);
+        const DestroyRootsFirst roots{eng};
         Cycle a = 0, b = 0;
         spawnNow(eng, [&]() -> Task<void> {
             co_await mesh.send(0, 3, 1024);
@@ -392,6 +406,7 @@ TEST(MeshFastpath, RandomStormIsCycleIdenticalToWormhole)
     auto run = [](bool fp) {
         Engine eng;
         Mesh mesh(eng, meshCfg(fp));
+        const DestroyRootsFirst roots{eng};
         std::uint64_t checksum = 0;
         wisync::sim::Rng rng(0xF00D);
         for (int t = 0; t < 48; ++t) {
@@ -424,6 +439,7 @@ TEST(MeshFastpath, CongestedUnicastsAndTreeMulticastsMatchWormhole)
         MeshConfig c = meshCfg(fp);
         c.treeMulticast = true;
         Mesh mesh(eng, c);
+        const DestroyRootsFirst roots{eng};
         wisync::sim::Rng rng(0xBEEF);
         std::vector<Cycle> delivered(96, 0);
         std::vector<std::vector<NodeId>> groups(16);
