@@ -494,17 +494,16 @@ BM_HeapChurn(benchmark::State &state)
 }
 BENCHMARK(BM_HeapChurn);
 
-template <bool kFastpath>
 void
-bmBroadcastStoreBody(benchmark::State &state)
+BM_BmBroadcastStore(benchmark::State &state)
 {
     // The per-broadcast cost in isolation: one persistent reset-reused
     // machine, 500 uncontended single-sender broadcasts per iteration.
-    // With the fast path on, every send must take the frameless Mac
-    // route and run() must never touch the allocator (counted, and
+    // Every send must reach its slot without suspending (a fast-path
+    // hit) and run() must never touch the allocator (counted, and
     // gated by check_bench.py). Leaked fixture: see meshUncontendedBody.
     auto cfg = core::MachineConfig::make(core::ConfigKind::WiSync, 64);
-    cfg.setFastpath(kFastpath);
+    cfg.setFastpath(true);
     static core::Machine &m = *new core::Machine(cfg);
     auto point = [&] {
         m.reset();
@@ -537,19 +536,7 @@ bmBroadcastStoreBody(benchmark::State &state)
         attempts > 0 ? static_cast<double>(hits) / attempts : 0.0;
 }
 
-void
-BM_BmBroadcastStore(benchmark::State &state)
-{
-    bmBroadcastStoreBody<true>(state);
-}
 BENCHMARK(BM_BmBroadcastStore);
-
-void
-BM_BmBroadcastStoreNoFastpath(benchmark::State &state)
-{
-    bmBroadcastStoreBody<false>(state);
-}
-BENCHMARK(BM_BmBroadcastStoreNoFastpath);
 
 } // namespace
 

@@ -134,16 +134,16 @@ def main():
     # beat the wormhole coroutine on the same machine in the same
     # process, actually serve the whole stream (hit fraction), and
     # never touch the allocator (counted around engine.run() with the
-    # replaced operator new). The BM broadcast and coherence ping-pong
-    # twins gate against regression of the end-to-end message paths.
+    # replaced operator new). Uncontended BM broadcasts must reach
+    # their slot without waiting and without allocating, and the
+    # coherence ping-pong twin gates against regression of the
+    # contended message paths.
     ratio_gate("BM_MeshUncontendedFastPath", "BM_MeshUncontendedFallback",
                1.3, "frameless mesh chain must beat the wormhole path")
     counter_gate("BM_MeshUncontendedFastPath", "fastpath_hit_fraction",
                  ">=", 0.9, "uncontended stream must take the fast path")
     counter_gate("BM_MeshUncontendedFastPath", "heap_allocs", "<=", 0,
                  "uncontended mesh transfers must not allocate")
-    ratio_gate("BM_BmBroadcastStore", "BM_BmBroadcastStoreNoFastpath",
-               1.05, "frameless broadcast path must beat the send loop")
     counter_gate("BM_BmBroadcastStore", "fastpath_hit_fraction", ">=",
                  0.9, "single-sender broadcasts must take the fast path")
     counter_gate("BM_BmBroadcastStore", "heap_allocs", "<=", 0,

@@ -89,10 +89,10 @@ struct MachineConfig
                               Variant variant = Variant::Default);
 
     /**
-     * Toggle the uncontended fast paths on all three subsystem layers
-     * (mesh routes, L1 hits, wireless broadcasts) together. Behavioral
-     * and shape-compatible: a reset may flip it freely; simulated
-     * cycles are identical either way (the env kill switch
+     * Toggle the uncontended fast paths of the mesh routes and the L1
+     * hits together (the wireless broadcast has one send path).
+     * Behavioral and shape-compatible: a reset may flip it freely;
+     * simulated cycles are identical either way (the env kill switch
      * WISYNC_NO_FASTPATH=1 sets the same flags at config build time).
      */
     void
@@ -100,7 +100,6 @@ struct MachineConfig
     {
         mesh.fastpath = on;
         mem.fastpath = on;
-        wireless.fastpath = on;
     }
 
     /**

@@ -8,7 +8,6 @@
  *                               channel senders, bank ports, ...)
  *   - Resource                : counting semaphore (link/bank capacity)
  *   - CondVar                 : broadcast wakeup (spin-wait subscription)
- *   - Future<T>               : one-shot value handoff
  *   - spawnDetached           : launch a root task onto the engine
  *
  * All wakeups go through the engine queue (never inline resumption) so
@@ -482,60 +481,6 @@ class CondVar
   private:
     sim::Engine &engine_;
     sim::InlineVec<std::coroutine_handle<>, 4> waiters_;
-};
-
-/**
- * One-shot future: produced once, consumable by many waiters.
- *
- * Used for transaction completions (e.g. a cache miss response).
- */
-template <typename T>
-class Future
-{
-  public:
-    explicit Future(sim::Engine &engine) : engine_(engine) {}
-
-    bool ready() const { return ready_; }
-
-    void
-    set(T value)
-    {
-        WISYNC_ASSERT(!ready_, "Future set twice");
-        value_ = std::move(value);
-        ready_ = true;
-        for (auto h : waiters_)
-            engine_.resumeHandle(0, h);
-        waiters_.clear();
-    }
-
-    Future(const Future &) = delete;
-    Future &operator=(const Future &) = delete;
-
-    class Awaiter
-    {
-      public:
-        explicit Awaiter(Future &f) : fut_(f) {}
-        bool await_ready() const { return fut_.ready_; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            fut_.waiters_.push_back(h);
-        }
-
-        T await_resume() const { return fut_.value_; }
-
-      private:
-        Future &fut_;
-    };
-
-    Awaiter operator co_await() { return Awaiter(*this); }
-
-  private:
-    sim::Engine &engine_;
-    bool ready_ = false;
-    T value_{};
-    sim::InlineVec<std::coroutine_handle<>, 2> waiters_;
 };
 
 /**

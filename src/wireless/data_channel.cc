@@ -66,22 +66,8 @@ DataChannel::burstDropProbability(sim::NodeId src, bool bulk, sim::Rng &rng)
     return per < 0.0 ? 0.0 : (per > 1.0 ? 1.0 : per);
 }
 
-namespace {
-
-/** Route an outcome to whichever completion sink the Pending carries. */
 void
-complete(DataChannel::Pending *p, DataChannel::Outcome outcome)
-{
-    if (p->done != nullptr)
-        p->done->set(outcome);
-    else
-        p->fast->complete(outcome);
-}
-
-} // namespace
-
-void
-DataChannel::joinSlot(Pending &p)
+DataChannel::joinSlot(Attempt &a)
 {
     WISYNC_ASSERT(engine_.now() >= nextFree_,
                   "joinSlot while the channel is busy");
@@ -91,28 +77,7 @@ DataChannel::joinSlot(Pending &p)
         // Arbitrate after every same-cycle attempt has registered.
         engine_.scheduleIn(0, [this] { arbitrate(); });
     }
-    slotAttempts_.push_back(&p);
-}
-
-coro::Task<DataChannel::Outcome>
-DataChannel::attempt(sim::NodeId src, bool bulk, sim::UniqueFunction &deliver,
-                     const std::function<bool()> *abort, sim::Rng *rng)
-{
-    // A ready transceiver waits for the cycle the channel is next
-    // expected to be free (§4.1); the horizon can move while waiting.
-    while (engine_.now() < nextFree_)
-        co_await coro::delay(engine_, nextFree_ - engine_.now());
-
-    coro::Future<Outcome> done(engine_);
-    Pending pending;
-    pending.bulk = bulk;
-    pending.deliver = &deliver;
-    pending.abort = abort;
-    pending.done = &done;
-    pending.src = src;
-    pending.rng = rng;
-    joinSlot(pending);
-    co_return co_await done;
+    slotAttempts_.push_back(&a);
 }
 
 void
@@ -130,24 +95,24 @@ DataChannel::arbitrate()
     // AFB semantics: a transmission whose abort predicate holds when
     // the write is attempted never reaches the air.
     std::size_t live = 0;
-    for (Pending *p : arbScratch_) {
-        if (p->abort && (*p->abort)())
-            complete(p, Outcome::Aborted);
+    for (Attempt *a : arbScratch_) {
+        if (a->abort_ && (*a->abort_)())
+            a->complete(Outcome::Aborted);
         else
-            arbScratch_[live++] = p;
+            arbScratch_[live++] = a;
     }
     arbScratch_.resize(live);
     if (arbScratch_.empty())
         return;
 
     if (arbScratch_.size() == 1) {
-        Pending *p = arbScratch_.front();
+        Attempt *a = arbScratch_.front();
         const std::uint32_t dur =
-            p->bulk ? cfg_.bulkCycles : cfg_.dataCycles;
+            a->bulk_ ? cfg_.bulkCycles : cfg_.dataCycles;
         nextFree_ = engine_.now() + dur;
         stats_.busyCycles.inc(dur);
         stats_.messages.inc();
-        if (p->bulk)
+        if (a->bulk_)
             stats_.bulkMessages.inc();
         // Lossy channel: one Bernoulli draw from the transmitting
         // node's RNG stream decides whether the frame survives at
@@ -155,28 +120,28 @@ DataChannel::arbitrate()
         // can never diverge. The slot is consumed either way; on a
         // drop no deliver runs and the sender learns of the loss when
         // its ack window expires. The ideal channel draws nothing.
-        if (lossEnabled_ && p->rng != nullptr) {
+        if (lossEnabled_ && a->rng_ != nullptr) {
             // Burst mode steps the transmitter's Gilbert–Elliott chain
             // first (one extra draw per transmission — deterministic,
             // from the same per-node stream), then performs the usual
             // drop Bernoulli against the composed probability.
             const double per =
                 cfg_.burst.enabled
-                    ? burstDropProbability(p->src, p->bulk, *p->rng)
-                    : dropProbability(p->src, p->bulk);
-            if (per > 0.0 && p->rng->chance(per)) {
+                    ? burstDropProbability(a->src_, a->bulk_, *a->rng_)
+                    : dropProbability(a->src_, a->bulk_);
+            if (per > 0.0 && a->rng_->chance(per)) {
                 stats_.drops.inc();
                 engine_.scheduleIn(
-                    dur, [p] { complete(p, Outcome::Dropped); });
+                    dur, [a] { a->complete(Outcome::Dropped); });
                 return;
             }
         }
         // Delivery happens at the end of the transmission: the deliver
         // callback is the total-order commit point for BM updates.
-        engine_.scheduleIn(dur, [p] {
-            if (*p->deliver)
-                (*p->deliver)();
-            complete(p, Outcome::Delivered);
+        engine_.scheduleIn(dur, [a] {
+            if (*a->deliver_)
+                (*a->deliver_)();
+            a->complete(Outcome::Delivered);
         });
         return;
     }
@@ -189,9 +154,9 @@ DataChannel::arbitrate()
     nextFree_ = engine_.now() + cfg_.collisionCycles;
     stats_.collisions.inc();
     stats_.busyCycles.inc(cfg_.collisionCycles);
-    for (Pending *p : arbScratch_)
+    for (Attempt *a : arbScratch_)
         engine_.scheduleIn(cfg_.collisionCycles,
-                           [p] { complete(p, Outcome::Collided); });
+                           [a] { a->complete(Outcome::Collided); });
 }
 
 Mac::Mac(sim::Engine &engine, DataChannel &channel, MacProtocol &protocol,
@@ -238,22 +203,46 @@ Mac::ackTimeoutRetry(std::uint32_t drops)
 }
 
 coro::Task<SendOutcome>
-Mac::sendLoop(bool bulk, sim::UniqueFunction &deliver,
-              const std::function<bool()> *abort,
-              sim::Cycle first_attempt, std::uint32_t drops)
+Mac::send(bool bulk, sim::UniqueFunction deliver,
+          const std::function<bool()> *abort)
 {
-    for (;;) {
-        co_await protocol_->acquire(node_);
+    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
+    // store proceeds until the current one performed). A send that
+    // takes the order mutex, finds the channel free and is granted at
+    // once joins its first slot without suspending (a fast-path hit).
+    const bool ordered = order_.tryLock();
+    bool granted = ordered && protocol_->tryAcquire(node_);
+    if (granted && engine_.now() >= channel_.nextFree())
+        channel_.noteFastpathHit();
+    else
+        channel_.noteFastpathFallback();
+    if (!ordered)
+        co_await order_.lock();
+    const sim::Cycle first_attempt = engine_.now();
+    std::uint32_t drops = 0;
+    SendOutcome sent;
+    for (;; granted = false) {
+        // tryAcquire grants only where that is side-effect-identical
+        // to an acquire() that never waits.
+        if (!granted && !protocol_->tryAcquire(node_))
+            co_await protocol_->acquire(node_);
         if (abort && (*abort)()) {
             // Cancelled before reaching the channel. The claim must
             // still be dropped: a granted token (or a fuzzy-token
             // contention grant picked up during the last collision)
             // would otherwise stall every queued sender.
             protocol_->release(node_, false);
-            co_return SendOutcome::Aborted;
+            sent = SendOutcome::Aborted;
+            break;
         }
-        const auto outcome =
-            co_await channel_.attempt(node_, bulk, deliver, abort, &rng_);
+        // A ready transceiver waits for the cycle the channel is next
+        // expected to be free (§4.1); the horizon can move while
+        // waiting.
+        while (engine_.now() < channel_.nextFree())
+            co_await coro::delay(engine_,
+                                 channel_.nextFree() - engine_.now());
+        const auto outcome = co_await DataChannel::Attempt(
+            channel_, node_, bulk, &deliver, abort, &rng_);
         if (outcome == DataChannel::Outcome::Collided) {
             // The protocol drops the claim, updates contention state
             // and performs this node's backoff; then contend again.
@@ -267,91 +256,18 @@ Mac::sendLoop(bool bulk, sim::UniqueFunction &deliver,
             // window / bounded-retry machinery decides what follows.
             protocol_->release(node_, false);
             ++drops;
-            if (!co_await ackTimeoutRetry(drops))
-                co_return SendOutcome::GaveUp;
-            continue;
+            if (co_await ackTimeoutRetry(drops))
+                continue;
+            sent = SendOutcome::GaveUp;
+            break;
         }
-        protocol_->release(node_,
-                           outcome == DataChannel::Outcome::Delivered);
-        if (outcome == DataChannel::Outcome::Delivered) {
+        const bool delivered = outcome == DataChannel::Outcome::Delivered;
+        protocol_->release(node_, delivered);
+        if (delivered)
             channel_.noteDelivery(first_attempt);
-            co_return SendOutcome::Delivered;
-        }
-        co_return SendOutcome::Aborted;
+        sent = delivered ? SendOutcome::Delivered : SendOutcome::Aborted;
+        break;
     }
-}
-
-coro::Task<SendOutcome>
-Mac::send(bool bulk, sim::UniqueFunction deliver,
-          const std::function<bool()> *abort)
-{
-    // Uncontended fast path: the node has no broadcast in flight, the
-    // channel is joinable this cycle and the MAC protocol can grant
-    // without waiting — skip the acquire/attempt coroutine frames and
-    // the outcome future; the slot protocol itself (registration,
-    // arbitration event, collision detection) is shared with the slow
-    // path, so mixed fast/slow slots arbitrate exactly as before.
-    if (channel_.config().fastpath) {
-        if (engine_.now() >= channel_.nextFree() && order_.tryLock()) {
-            if (!protocol_->tryAcquire(node_)) {
-                order_.unlock();
-            } else {
-                channel_.noteFastpathHit();
-                const sim::Cycle first_attempt = engine_.now();
-                if (abort && (*abort)()) {
-                    // AFB abort before reaching the channel: drop the
-                    // claim, zero suspensions — as the slow path's
-                    // inline acquire/abort-check sequence would.
-                    protocol_->release(node_, false);
-                    order_.unlock();
-                    co_return SendOutcome::Aborted;
-                }
-                DataChannel::FastAttempt fa(channel_, node_, bulk,
-                                            &deliver, abort, &rng_);
-                const auto outcome = co_await fa;
-                if (outcome == DataChannel::Outcome::Dropped) {
-                    // Lost on the air: same recovery sequence as the
-                    // slow path's Dropped branch (release, ack
-                    // window, recontend through the generic loop with
-                    // the loss already counted), order_ still held.
-                    protocol_->release(node_, false);
-                    SendOutcome sent = SendOutcome::GaveUp;
-                    if (co_await ackTimeoutRetry(1))
-                        sent = co_await sendLoop(bulk, deliver, abort,
-                                                 first_attempt, 1);
-                    order_.unlock();
-                    co_return sent;
-                }
-                if (outcome != DataChannel::Outcome::Collided) {
-                    protocol_->release(
-                        node_,
-                        outcome == DataChannel::Outcome::Delivered);
-                    if (outcome == DataChannel::Outcome::Delivered) {
-                        channel_.noteDelivery(first_attempt);
-                        order_.unlock();
-                        co_return SendOutcome::Delivered;
-                    }
-                    order_.unlock();
-                    co_return SendOutcome::Aborted;
-                }
-                // Collided: back off and fall into the generic retry
-                // loop, order_ still held.
-                retries_.inc();
-                co_await protocol_->onCollision(node_, rng_);
-                const auto sent =
-                    co_await sendLoop(bulk, deliver, abort,
-                                      first_attempt, 0);
-                order_.unlock();
-                co_return sent;
-            }
-        }
-        channel_.noteFastpathFallback();
-    }
-    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
-    // store proceeds until the current one performed).
-    co_await order_.lock();
-    const auto sent = co_await sendLoop(bulk, deliver, abort,
-                                        engine_.now(), 0);
     order_.unlock();
     co_return sent;
 }

@@ -16,6 +16,12 @@
  * contention: exponential backoff (§5.3 BRS, the paper's scheme and
  * the default), token passing, a fuzzy-token hybrid, or adaptive
  * switching, selected by WirelessConfig::macKind.
+ *
+ * Every broadcast takes one send path: Mac::send's loop, which awaits
+ * a frameless DataChannel::Attempt per slot. A send that finds its
+ * order mutex free, the channel free and the protocol willing to grant
+ * at once joins its first slot without suspending; the others wait on
+ * the same loop and land at the same event-stream positions.
  */
 
 #ifndef WISYNC_WIRELESS_DATA_CHANNEL_HH
@@ -27,7 +33,6 @@
 #include "coro/primitives.hh"
 #include "coro/task.hh"
 #include "sim/engine.hh"
-#include "sim/env.hh"
 #include "sim/fields.hh"
 #include "sim/function.hh"
 #include "sim/rng.hh"
@@ -55,8 +60,6 @@ struct WirelessConfig
     std::uint32_t bulkCycles = 15;
     /** Channel-busy cycles consumed by a collision. */
     std::uint32_t collisionCycles = 2;
-    /** Frameless uncontended-broadcast fast path (host-time only). */
-    bool fastpath = sim::fastpathDefault();
 
     // ---- Lossy channel model + reliability layer ------------------
     // lossPct = 0 and berFromSnr = false (the defaults) keep the ideal
@@ -131,7 +134,6 @@ struct WirelessConfig
         v(field("dataCycles", self.dataCycles, 1, UINT32_MAX, kNoFlags));
         v(field("bulkCycles", self.bulkCycles, kNoFlags));
         v(field("collisionCycles", self.collisionCycles, kNoFlags));
-        v(field("fastpath", self.fastpath, kNoFlags));
         v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
         v(field("berFromSnr", self.berFromSnr, kJson));
         v(field("txPowerDbm", self.txPowerDbm, -100.0, 100.0, kJson));
@@ -168,11 +170,11 @@ struct DataChannelStats
     sim::Counter busyCycles;
     /** Latency from first attempt to delivery, per message. */
     sim::Accumulator deliveryLatency;
-    /** Broadcasts armed on the frameless Mac fast path. */
+    /** Sends whose first attempt joined a slot without suspending:
+     *  order mutex free, channel free and tryAcquire granted. */
     sim::Counter fastpathHits;
-    /** Broadcasts that fell back to the coroutine send loop (busy
-     *  channel / held order mutex / non-immediate MAC protocol; only
-     *  counted while the fast path is enabled). */
+    /** Sends that had to wait first (held order mutex, busy channel
+     *  or a MAC protocol that cannot grant at once). */
     sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
@@ -206,80 +208,42 @@ class DataChannel
     };
 
     /**
-     * Try once: contend for the next free slot, then either transmit
-     * fully (running @p deliver at the delivery instant), collide, or
-     * abort (the @p abort predicate is evaluated at arbitration time,
-     * i.e. "when the write is attempted" — the paper's AFB semantics).
-     * Under a lossy channel (@see lossy()) a won slot may instead be
-     * Dropped, decided by one Bernoulli draw from @p rng — the
-     * transmitting node's stream, so runs stay bit-reproducible. The
-     * MAC layers retries/backoff/ack-timeouts on top of this.
+     * One slot attempt, awaited by Mac::send: contend for the slot
+     * opening at now(), then either transmit fully (running @p deliver
+     * at the delivery instant), collide, or abort (the @p abort
+     * predicate is evaluated at arbitration time, i.e. "when the write
+     * is attempted" — the paper's AFB semantics). Under a lossy
+     * channel (@see lossy()) a won slot may instead be Dropped, decided
+     * by one Bernoulli draw from @p rng — the transmitting node's
+     * stream, so runs stay bit-reproducible. The MAC layers retries,
+     * backoff and ack timeouts on top of this.
+     *
+     * Registers on construction, which is only legal once now() >=
+     * nextFree(). It lives in the sender's frame; the channel's
+     * completion event resumes the sender through the ready ring.
      */
-    coro::Task<Outcome> attempt(sim::NodeId src, bool bulk,
-                                sim::UniqueFunction &deliver,
-                                const std::function<bool()> *abort,
-                                sim::Rng *rng = nullptr);
-
-    class FastAttempt;
-
-    /**
-     * One registered contender for a transmit slot. Lives in the
-     * registering attempt's coroutine frame (coroutine path) or in a
-     * FastAttempt in the sender's frame (frameless path); exactly one
-     * completion sink is set.
-     */
-    struct Pending
-    {
-        bool bulk = false;
-        sim::UniqueFunction *deliver = nullptr;
-        const std::function<bool()> *abort = nullptr;
-        /** Coroutine path: outcome lands in this future. */
-        coro::Future<Outcome> *done = nullptr;
-        /** Frameless path: outcome resumes this awaiter's caller. */
-        FastAttempt *fast = nullptr;
-        /** Transmitting node (drop-table lookup under loss). */
-        sim::NodeId src = 0;
-        /** Transmitter's RNG stream for the packet-error draw; only
-         *  consulted when the channel is lossy. */
-        sim::Rng *rng = nullptr;
-    };
-
-    /**
-     * Frameless one-shot slot attempt for the Mac fast path: joins the
-     * slot opening at now() exactly as the attempt() coroutine would
-     * (same arbitration event, same registration order), then resumes
-     * its awaiting sender directly from the delivery / collision /
-     * abort completion event — no attempt frame, no future.
-     */
-    class FastAttempt
+    class Attempt
     {
       public:
-        /** Registers immediately; only legal when now() >= nextFree(). */
-        FastAttempt(DataChannel &channel, sim::NodeId src, bool bulk,
-                    sim::UniqueFunction *deliver,
-                    const std::function<bool()> *abort, sim::Rng *rng)
-            : engine_(channel.engine_)
+        Attempt(DataChannel &channel, sim::NodeId src, bool bulk,
+                sim::UniqueFunction *deliver,
+                const std::function<bool()> *abort, sim::Rng *rng)
+            : engine_(channel.engine_), deliver_(deliver), abort_(abort),
+              rng_(rng), src_(src), bulk_(bulk)
         {
-            pending_.bulk = bulk;
-            pending_.deliver = deliver;
-            pending_.abort = abort;
-            pending_.fast = this;
-            pending_.src = src;
-            pending_.rng = rng;
-            channel.joinSlot(pending_);
+            channel.joinSlot(*this);
         }
+
+        Attempt(const Attempt &) = delete;
+        Attempt &operator=(const Attempt &) = delete;
 
         bool await_ready() const noexcept { return false; }
         void await_suspend(std::coroutine_handle<> h) { caller_ = h; }
         Outcome await_resume() const noexcept { return outcome_; }
 
-        /**
-         * Called by the channel's completion events. The sender is
-         * resumed through the ready ring — claiming its sequence
-         * number exactly where the coroutine path's Future::set wakeup
-         * would — so the Mac epilogue runs at an identical position in
-         * the event stream.
-         */
+      private:
+        friend class DataChannel;
+
         void
         complete(Outcome outcome)
         {
@@ -287,9 +251,15 @@ class DataChannel
             engine_.resumeHandle(0, caller_);
         }
 
-      private:
         sim::Engine &engine_;
-        Pending pending_;
+        sim::UniqueFunction *deliver_;
+        const std::function<bool()> *abort_;
+        /** Transmitter's RNG stream for the packet-error draw; only
+         *  consulted when the channel is lossy. */
+        sim::Rng *rng_;
+        /** Transmitting node (drop-table lookup under loss). */
+        sim::NodeId src_;
+        bool bulk_;
         Outcome outcome_ = Outcome::Collided;
         std::coroutine_handle<> caller_;
     };
@@ -352,15 +322,16 @@ class DataChannel
 
     /**
      * Idle channel, zero stats, optionally retimed via @p cfg. Pending
-     * attempts must already be gone (their coroutine frames destroyed
-     * by the engine reset that precedes this in Machine::reset).
+     * attempts must already be gone (the sender frames holding them
+     * destroyed by the engine reset that precedes this in
+     * Machine::reset).
      */
     void reset(const WirelessConfig &cfg);
 
   private:
-    /** Register @p p in the slot opening at now() (first registrant
+    /** Register @p a in the slot opening at now() (first registrant
      *  schedules the arbitration event). now() >= nextFree_ required. */
-    void joinSlot(Pending &p);
+    void joinSlot(Attempt &a);
 
     void arbitrate();
 
@@ -374,10 +345,10 @@ class DataChannel
     sim::Cycle nextFree_ = 0;
     /** Cycle of the slot currently collecting attempts (or kCycleMax). */
     sim::Cycle openSlot_ = sim::kCycleMax;
-    std::vector<Pending *> slotAttempts_;
+    std::vector<Attempt *> slotAttempts_;
     /** Double buffer for arbitrate(): both keep their capacity, so
      *  steady-state arbitration never touches the allocator. */
-    std::vector<Pending *> arbScratch_;
+    std::vector<Attempt *> arbScratch_;
     /** Per-tx SNR-derived packet-error rates (empty: uniform only). */
     std::vector<double> dropData_;
     std::vector<double> dropBulk_;
@@ -432,6 +403,13 @@ class Mac
      * retransmission; after maxRetries retransmissions the send
      * returns SendOutcome::GaveUp instead of hanging. On the ideal
      * channel the result is always Delivered or Aborted.
+     *
+     * One loop serves every send: take the order mutex, then per
+     * attempt probe tryAcquire (else await acquire), check @p abort,
+     * wait for nextFree() and await one Attempt. No step suspends when
+     * it need not: an uncontended send runs no coroutine but its own
+     * and costs three events (the slot's arbitration, its delivery and
+     * the sender's resumption).
      */
     coro::Task<SendOutcome> send(bool bulk, sim::UniqueFunction deliver,
                                  const std::function<bool()> *abort =
@@ -447,19 +425,6 @@ class Mac
     void reset(MacProtocol &protocol, sim::Rng rng);
 
   private:
-    /**
-     * The acquire/attempt/backoff retry loop, entered with order_
-     * held. Shared by the slow path (from the first attempt) and the
-     * fast path (after its armed attempt collided or was dropped;
-     * @p drops carries the fast attempt's loss count forward so the
-     * maxRetries budget spans the whole send).
-     */
-    coro::Task<SendOutcome> sendLoop(bool bulk,
-                                     sim::UniqueFunction &deliver,
-                                     const std::function<bool()> *abort,
-                                     sim::Cycle first_attempt,
-                                     std::uint32_t drops);
-
     /**
      * The per-send ack window: transmission @p drops was corrupted,
      * so wait out the ack timeout (plus the bounded exponential

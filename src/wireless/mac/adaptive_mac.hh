@@ -45,7 +45,7 @@ class AdaptiveMac : public MacProtocol
 
     /**
      * Delegate to the active sub-policy, so adaptive-in-BRS sends
-     * take the Mac front-ends' frameless fast path. BRS grants
+     * skip the acquire() coroutine. BRS grants
      * immediately (recording the granting policy exactly as acquire()
      * would before its first suspension); the token ring keeps its
      * default refusal, which leaves no trace.

@@ -11,6 +11,8 @@
  *
  *   1. acquire(node)       — block until the node may contend (a token
  *                            wait, or immediate for random access);
+ *                            Mac::send probes tryAcquire(node) first
+ *                            and awaits acquire() only on a refusal;
  *   2. the channel attempt  (owned by Mac, not the protocol);
  *   3a. release(node, ok)  — the attempt ended (delivered or aborted):
  *                            drop the claim, pass the token on, update
@@ -120,10 +122,11 @@ class MacProtocol
      * suspending, or refuse. A protocol may only return true when the
      * grant is side-effect-identical to a completed acquire() that
      * never waited; returning false must leave no trace (the sender
-     * then goes through the full acquire()). Random-access protocols
-     * (BRS) grant always; token-family protocols keep the default
-     * refusal, so their senders always take the coroutine path. This
-     * is what the Mac front-ends' frameless fast path probes.
+     * then goes through the full acquire()). Mac::send probes this
+     * before every acquire(), so the two must agree on every grant.
+     * Random-access protocols (BRS) grant always; token-family
+     * protocols keep the default refusal, so their senders always
+     * await acquire().
      */
     virtual bool
     tryAcquire(sim::NodeId node)

@@ -15,7 +15,6 @@ namespace {
 
 using wisync::coro::CondVar;
 using wisync::coro::delay;
-using wisync::coro::Future;
 using wisync::coro::Resource;
 using wisync::coro::scopedLock;
 using wisync::coro::SimMutex;
@@ -161,39 +160,6 @@ TEST(CondVar, WaitersAfterNotifyNeedNextNotify)
     ASSERT_EQ(wake_times.size(), 2u);
     EXPECT_EQ(wake_times[0], 10u);
     EXPECT_EQ(wake_times[1], 20u);
-}
-
-TEST(Future, DeliversValueToLateAndEarlyWaiters)
-{
-    Engine eng;
-    Future<int> fut(eng);
-    std::vector<int> seen;
-
-    // Early waiter: blocks until set().
-    spawnNow(eng, [&]() -> Task<void> {
-        seen.push_back(co_await fut);
-    });
-    // Producer.
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 5);
-        fut.set(99);
-    });
-    // Late waiter: awaits after set(), must not block.
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 20);
-        seen.push_back(co_await fut);
-    });
-    eng.run();
-    EXPECT_EQ(seen, (std::vector<int>{99, 99}));
-}
-
-TEST(Future, ReadyFlagTracksState)
-{
-    Engine eng;
-    Future<int> fut(eng);
-    EXPECT_FALSE(fut.ready());
-    fut.set(1);
-    EXPECT_TRUE(fut.ready());
 }
 
 TEST(SimMutex, HandoffKeepsCycleAccurate)
