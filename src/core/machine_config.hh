@@ -136,7 +136,7 @@ struct MachineConfig
      * entry must bump this, so the on-disk result cache never aliases
      * an old layout (it is folded into CacheStore's format version).
      */
-    static constexpr std::uint64_t kFingerprintVersion = 1;
+    static constexpr std::uint64_t kFingerprintVersion = 2;
 
     /** The field list (sim/fields.hh); cores are capped at a
      *  kilocore package, cross-field rules live in validate(). */

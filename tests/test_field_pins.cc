@@ -101,23 +101,23 @@ configPins()
     fuzzy.wireless.tokenFrameBits = 24;
     return {
         {"baseline16", MachineConfig::make(ConfigKind::Baseline, 16),
-         0xad0d9888f5e47a62ull},
+         0x298e5981ead2df3cull},
         {"baselineplus64-slownet",
          MachineConfig::make(ConfigKind::BaselinePlus, 64,
                              Variant::SlowNet),
-         0x77c7c92f76369009ull},
+         0xe0cf71ad2c42d0f7ull},
         {"wisyncnot64-slownetl2",
          MachineConfig::make(ConfigKind::WiSyncNoT, 64,
                              Variant::SlowNetL2),
-         0x2ef736bb1875a3b2ull},
+         0xf297195fe01c74e4ull},
         {"wisync64-slowbmem",
          MachineConfig::make(ConfigKind::WiSync, 64, Variant::SlowBmem),
-         0x9a52a86467069b93ull},
-        {"wisync16-token", token, 0x2150a8edabfae095ull},
-        {"wisyncnot32-adaptive", adaptive, 0xadef921d472df092ull},
-        {"wisync16-fuzzytoken", fuzzy, 0xbd13bc1bc5adfcf3ull},
+         0x621b9ca71e2926edull},
+        {"wisync16-token", token, 0x2da6d355462e2b0bull},
+        {"wisyncnot32-adaptive", adaptive, 0x7b735869ebd6b2dcull},
+        {"wisync16-fuzzytoken", fuzzy, 0x52fe553e12b1a51dull},
         {"wisync64-4chip-lossy-bursty", lossyBurstyFourChip(),
-         0x11b25df29d613659ull},
+         0x90cdbcbca2f4c293ull},
     };
 }
 
@@ -220,24 +220,24 @@ recordPoint()
 
 /** CacheStore::encodeRecord(recordPoint(), fullResult()), as hex. */
 constexpr const char *kRecordHex =
-    "0f04000085467474dde54981f4cb5089e9d04578127203ed530300007b22636f"
-    "6e666967223a7b226b696e64223a22576953796e63222c22636f726573223a36"
-    "342c2276617269616e74223a2244656661756c74222c226368697073223a342c"
+    "0f0400008546747490392ce6477ddbf5ce8c0435896da57b530300007b22636f"
+    "6e666967223a7b226b696e64223a22576953796e63222c2276617269616e7422"
+    "3a2244656661756c74222c22636f726573223a36342c226368697073223a342c"
     "2269737375655769647468223a322c2273656564223a313030392c2277697265"
-    "6c657373223a7b226d6163223a22425253222c226d61784261636b6f66664578"
-    "70223a31302c22746f6b656e506173734379636c6573223a302c22746f6b656e"
-    "4672616d6542697473223a31362c22746f6b656e486f6c644379636c6573223a"
-    "302c22616461707457696e646f774576656e7473223a33322c22616461707448"
-    "69506374223a32352c2261646170744c6f506374223a32352c226c6f73735063"
-    "74223a352c2262657246726f6d536e72223a747275652c227478506f77657244"
-    "626d223a372e352c2261636b54696d656f75744379636c6573223a362c226d61"
-    "7852657472696573223a352c2272657472794261636b6f66664d617845787022"
-    "3a342c226275727374223a7b22656e61626c6564223a747275652c22676f6f64"
-    "4c6f7373506374223a302e352c226261644c6f7373506374223a38302c227047"
-    "6f6f64546f426164223a302e30322c2270426164546f476f6f64223a302e3235"
-    "7d2c226368616e6e656c4c6f7373426173654462223a312e352c226368616e6e"
-    "656c4c6f7373537465704462223a302e37352c22737065637472756d536c6f74"
-    "73223a327d2c22627269646765223a7b226c6174656e63794379636c6573223a"
+    "6c657373223a7b226c6f7373506374223a352c2262657246726f6d536e72223a"
+    "747275652c227478506f77657244626d223a372e352c2261636b54696d656f75"
+    "744379636c6573223a362c226d617852657472696573223a352c227265747279"
+    "4261636b6f66664d6178457870223a342c226275727374223a7b22656e61626c"
+    "6564223a747275652c22676f6f644c6f7373506374223a302e352c226261644c"
+    "6f7373506374223a38302c2270476f6f64546f426164223a302e30322c227042"
+    "6164546f476f6f64223a302e32357d2c226368616e6e656c4c6f737342617365"
+    "4462223a312e352c226368616e6e656c4c6f7373537465704462223a302e3735"
+    "2c22737065637472756d536c6f7473223a322c226d6163223a22425253222c22"
+    "6d61784261636b6f6666457870223a31302c22746f6b656e506173734379636c"
+    "6573223a302c22746f6b656e4672616d6542697473223a31362c22746f6b656e"
+    "486f6c644379636c6573223a302c22616461707457696e646f774576656e7473"
+    "223a33322c2261646170744869506374223a32352c2261646170744c6f506374"
+    "223a32357d2c22627269646765223a7b226c6174656e63794379636c6573223a"
     "33302c22776964746842697473223a33322c2268656164657242697473223a34"
     "302c226c6f7373506374223a31302c226275727374223a7b22656e61626c6564"
     "223a747275652c22676f6f644c6f7373506374223a312c226261644c6f737350"
