@@ -208,6 +208,9 @@ class ChipBridge
         std::uint32_t bits = 0;
         /** Drops charged against the current retry budget. */
         std::uint32_t drops = 0;
+        /** The scheduled step after a drop retransmits (else the
+         *  budget is spent and the frame is re-issued). */
+        bool retry = false;
         sim::UniqueFunction deliver;
     };
 
@@ -230,16 +233,12 @@ class ChipBridge
             stats_.drops.inc();
             stats_.ackTimeouts.inc();
             ++f->drops;
-            sim::Cycle wait = cfg_.ackTimeoutCycles;
-            if (f->drops <= cfg_.maxRetries) {
-                const std::uint32_t exp =
-                    f->drops < cfg_.retryBackoffMaxExp
-                        ? f->drops
-                        : cfg_.retryBackoffMaxExp;
-                wait += sim::Cycle{1} << exp;
-            }
-            engine_.schedule(nextFree_ + wait, [this, f] {
-                if (f->drops > cfg_.maxRetries) {
+            const wireless::RetryStep step = wireless::retryAfterDrop(
+                f->drops, cfg_.ackTimeoutCycles, cfg_.maxRetries,
+                cfg_.retryBackoffMaxExp);
+            f->retry = step.retry;
+            engine_.schedule(nextFree_ + step.wait, [this, f] {
+                if (!f->retry) {
                     // Budget spent — but a global BM update must not
                     // vanish, so the frame re-enters with a fresh
                     // budget (the degradation mirror of BmSystem's

@@ -23,6 +23,7 @@
 
 #include "sim/fields.hh"
 #include "sim/rng.hh"
+#include "sim/types.hh"
 
 namespace wisync::wireless {
 
@@ -137,6 +138,36 @@ class BurstState
   private:
     bool bad_ = false;
 };
+
+/** What a lossy link does after a lost transmission. */
+struct RetryStep
+{
+    /** Cycles from the end of the lost transmission to the next step. */
+    sim::Cycle wait;
+    /** True: retransmit after the wait. False: the retry budget is
+     *  spent and the sender gives up once the ack window expires. */
+    bool retry;
+};
+
+/**
+ * The bounded-retry rule of both lossy links (the Data channel's Mac
+ * and the chip bridge), after the @p drops-th loss charged to the
+ * current budget: retransmit after the ack window plus
+ * 2^min(drops, backoff_max_exp) cycles, or give up once drops exceeds
+ * @p max_retries, waiting only the ack window (the sender cannot know
+ * of the loss any earlier). Deterministic: the packet-error draws
+ * already decorrelate senders.
+ */
+inline RetryStep
+retryAfterDrop(std::uint32_t drops, sim::Cycle ack_timeout,
+               std::uint32_t max_retries, std::uint32_t backoff_max_exp)
+{
+    if (drops > max_retries)
+        return {ack_timeout, false};
+    const std::uint32_t exp =
+        drops < backoff_max_exp ? drops : backoff_max_exp;
+    return {ack_timeout + (sim::Cycle{1} << exp), true};
+}
 
 } // namespace wisync::wireless
 

@@ -178,28 +178,16 @@ coro::Task<bool>
 Mac::ackTimeoutRetry(std::uint32_t drops)
 {
     const WirelessConfig &cfg = channel_.config();
-    if (drops > cfg.maxRetries) {
-        // The retry budget is spent: wait out the final ack window
-        // (the sender cannot know the frame was lost any earlier),
-        // then surface the typed failure instead of retransmitting.
-        protocol_->noteAckTimeout(cfg.ackTimeoutCycles);
-        co_await coro::delay(engine_, cfg.ackTimeoutCycles);
-        protocol_->noteGiveUp();
-        co_return false;
-    }
-    // Ack window plus bounded exponential spacing before the
-    // retransmission. Deterministic (no RNG): the packet-error draws
-    // already decorrelate senders, and a fixed schedule keeps the
-    // lossPct = 0 contract trivially intact.
-    const std::uint32_t exp = drops < cfg.retryBackoffMaxExp
-                                  ? drops
-                                  : cfg.retryBackoffMaxExp;
-    const sim::Cycle wait =
-        cfg.ackTimeoutCycles + (sim::Cycle{1} << exp);
-    protocol_->noteAckTimeout(wait);
-    co_await coro::delay(engine_, wait);
-    protocol_->noteRetransmit();
-    co_return true;
+    const RetryStep step =
+        retryAfterDrop(drops, cfg.ackTimeoutCycles, cfg.maxRetries,
+                       cfg.retryBackoffMaxExp);
+    protocol_->noteAckTimeout(step.wait);
+    co_await coro::delay(engine_, step.wait);
+    if (step.retry)
+        protocol_->noteRetransmit();
+    else
+        protocol_->noteGiveUp(); // the caller surfaces GaveUp
+    co_return step.retry;
 }
 
 coro::Task<SendOutcome>

@@ -428,8 +428,9 @@ class Mac
     /**
      * The per-send ack window: transmission @p drops was corrupted,
      * so wait out the ack timeout (plus the bounded exponential
-     * backoff when a retransmission follows) and report whether the
-     * sender may retry (false: maxRetries exhausted — give up).
+     * backoff when a retransmission follows; retryAfterDrop in
+     * wireless/burst.hh) and report whether the sender may retry
+     * (false: maxRetries exhausted — give up).
      */
     coro::Task<bool> ackTimeoutRetry(std::uint32_t drops);
 
