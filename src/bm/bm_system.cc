@@ -1,5 +1,6 @@
 #include "bm/bm_system.hh"
 
+#include <optional>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -39,7 +40,7 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
                               const noc::BridgeConfig &bridge_cfg,
                               std::uint32_t num_chips)
 {
-    numChips_ = num_chips == 0 ? 1 : num_chips;
+    numChips_ = num_chips;
     WISYNC_FATAL_IF(numNodes_ % numChips_ != 0,
                     "cores must divide evenly among chips");
     coresPerChip_ = numNodes_ / numChips_;
@@ -97,17 +98,16 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
                     "BmSystem::reset cannot change BM capacity");
     cfg_ = cfg;
     store_.reset();
-    const std::uint32_t chips = num_chips == 0 ? 1 : num_chips;
-    const wireless::FrequencyPlan plan(chips, wcfg.spectrumSlots,
+    const wireless::FrequencyPlan plan(num_chips, wcfg.spectrumSlots,
                                        wcfg.channelLossBaseDb,
                                        wcfg.channelLossStepDb);
-    if (chips != numChips_ || !(plan == plan_)) {
+    if (num_chips != numChips_ || !(plan == plan_)) {
         // Re-tiling the machine rebuilds the chip-topology objects —
         // the same license the macKind flip below already takes. MACs
         // must rebind to the new channels, so they are rebuilt too,
         // forking the RNG in the same global node order as the
         // constructor.
-        rebuildChipTopology(wcfg, bridge_cfg, chips);
+        rebuildChipTopology(wcfg, bridge_cfg, num_chips);
         macs_.clear();
         for (std::uint32_t n = 0; n < numNodes_; ++n)
             macs_.push_back(std::make_unique<wireless::Mac>(
@@ -412,9 +412,10 @@ BmSystem::bulkStore(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     co_await coro::delay(engine_, cfg_.bmRtCycles);
 }
 
-coro::Task<RmwResult>
-BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
-                   std::uint64_t delta)
+template <class Modify>
+coro::Task<BmCasResult>
+BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+              Modify modify)
 {
     checkPid(addr, pid);
     stats_.rmws.inc();
@@ -426,11 +427,19 @@ BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     p.afb = false;
     const std::uint64_t old = store_.read(node, addr);
     co_await coro::delay(engine_, cfg_.rmwModifyCycles); // pipeline modify
-    const std::uint64_t desired = old + delta;
+    const std::optional<std::uint64_t> value = modify(old);
+    if (!value) {
+        // Comparison failed: no write is attempted (Fig. 4(b) retries
+        // straight away without consulting AFB).
+        p.active = false;
+        co_return BmCasResult{old, false, false};
+    }
     const std::function<bool()> abort = [&p] { return p.afb; };
     const auto sent = co_await macs_[node]->send(
         false,
-        [this, node, addr, desired] { deliverRmw(node, addr, desired); },
+        [this, node, addr, desired = *value] {
+            deliverRmw(node, addr, desired);
+        },
         &abort);
     // A reliability-layer give-up rides the AFB contract: the write
     // never occurred, the instruction completes, software retries
@@ -443,72 +452,42 @@ BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     } else {
         co_await coro::delay(engine_, cfg_.bmRtCycles); // local write
     }
-    co_return RmwResult{old, failed};
+    co_return BmCasResult{old, true, failed};
+}
+
+coro::Task<RmwResult>
+BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+                   std::uint64_t delta)
+{
+    const BmCasResult r = co_await rmw(
+        node, pid, addr,
+        [delta](std::uint64_t old) -> std::optional<std::uint64_t> {
+            return old + delta;
+        });
+    co_return RmwResult{r.oldValue, r.atomicityFailed};
 }
 
 coro::Task<RmwResult>
 BmSystem::testAndSet(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
 {
-    checkPid(addr, pid);
-    stats_.rmws.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    PendingRmw &p = pendingRmw_[node];
-    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p.active = true;
-    p.addr = addr;
-    p.afb = false;
-    const std::uint64_t old = store_.read(node, addr);
-    co_await coro::delay(engine_, cfg_.rmwModifyCycles);
-    const std::function<bool()> abort = [&p] { return p.afb; };
-    const auto sent = co_await macs_[node]->send(
-        false, [this, node, addr] { deliverRmw(node, addr, 1); }, &abort);
-    // Give-up -> AFB, as in fetchAdd.
-    const bool failed =
-        p.afb || sent == wireless::SendOutcome::GaveUp;
-    p.active = false;
-    if (failed) {
-        stats_.afbFailures.inc();
-    } else {
-        co_await coro::delay(engine_, cfg_.bmRtCycles);
-    }
-    co_return RmwResult{old, failed};
+    const BmCasResult r = co_await rmw(
+        node, pid, addr, [](std::uint64_t) -> std::optional<std::uint64_t> {
+            return 1;
+        });
+    co_return RmwResult{r.oldValue, r.atomicityFailed};
 }
 
 coro::Task<BmCasResult>
 BmSystem::cas(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
               std::uint64_t expected, std::uint64_t desired)
 {
-    checkPid(addr, pid);
-    stats_.rmws.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    PendingRmw &p = pendingRmw_[node];
-    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p.active = true;
-    p.addr = addr;
-    p.afb = false;
-    const std::uint64_t old = store_.read(node, addr);
-    co_await coro::delay(engine_, cfg_.rmwModifyCycles);
-    if (old != expected) {
-        // Comparison failed: no write is attempted (Fig. 4(b) retries
-        // straight away without consulting AFB).
-        p.active = false;
-        co_return BmCasResult{old, false, false};
-    }
-    const std::function<bool()> abort = [&p] { return p.afb; };
-    const auto sent = co_await macs_[node]->send(
-        false,
-        [this, node, addr, desired] { deliverRmw(node, addr, desired); },
-        &abort);
-    // Give-up -> AFB, as in fetchAdd.
-    const bool failed =
-        p.afb || sent == wireless::SendOutcome::GaveUp;
-    p.active = false;
-    if (failed) {
-        stats_.afbFailures.inc();
-    } else {
-        co_await coro::delay(engine_, cfg_.bmRtCycles);
-    }
-    co_return BmCasResult{old, true, failed};
+    return rmw(node, pid, addr,
+               [expected, desired](
+                   std::uint64_t old) -> std::optional<std::uint64_t> {
+                   if (old != expected)
+                       return std::nullopt;
+                   return desired;
+               });
 }
 
 coro::Task<std::uint64_t>

@@ -383,6 +383,17 @@ class BmSystem
         bool afb = false;
     };
 
+    /**
+     * The body of every BM RMW: read the old value, let @p modify map
+     * it to the value to broadcast (std::nullopt writes nothing, as
+     * after a failed CAS comparison), broadcast that under the AFB
+     * abort predicate and complete. A reliability-layer give-up counts
+     * as an AFB failure. Instantiated only in bm_system.cc.
+     */
+    template <class Modify>
+    coro::Task<BmCasResult> rmw(sim::NodeId node, sim::Pid pid,
+                                sim::BmAddr addr, Modify modify);
+
     /** A pooled in-flight bridge frame (global-scope commits only). */
     struct BridgeFrame
     {
