@@ -34,10 +34,11 @@ class FrequencyPlan
     FrequencyPlan(std::uint32_t num_chips = 1,
                   std::uint32_t spectrum_slots = 4,
                   double loss_base_db = 0.0, double loss_step_db = 0.0)
-        : numChips_(num_chips == 0 ? 1 : num_chips),
+        : numChips_(num_chips),
           channels_(spectrum_slots < numChips_ ? spectrum_slots : numChips_),
           lossBaseDb_(loss_base_db), lossStepDb_(loss_step_db)
     {
+        WISYNC_ASSERT(num_chips >= 1, "a plan needs a chip");
         WISYNC_ASSERT(spectrum_slots >= 1, "a plan needs a spectrum slot");
     }
 

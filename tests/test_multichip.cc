@@ -63,10 +63,8 @@ TEST(FrequencyPlan, FewerSlotsThanChipsShareChannelsRoundRobin)
 
 TEST(FrequencyPlan, DegenerateInputsClampToOne)
 {
-    // Zero chips means one. Zero spectrum slots is not clamped: the
-    // validator rejects wireless.spectrumSlots = 0.
-    const wisync::wireless::FrequencyPlan zeroChips(0, 4);
-    EXPECT_EQ(zeroChips.chips(), 1u);
+    // Zero chips and zero spectrum slots are not clamped: the
+    // validator rejects chips = 0 and wireless.spectrumSlots = 0.
     const wisync::wireless::FrequencyPlan oneSlot(3, 1);
     EXPECT_EQ(oneSlot.channels(), 1u);
     EXPECT_EQ(oneSlot.chipsOnChannel(0), 3u);
