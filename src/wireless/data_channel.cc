@@ -209,11 +209,12 @@ Mac::send(bool bulk, sim::UniqueFunction deliver,
     const sim::Cycle first_attempt = engine_.now();
     std::uint32_t drops = 0;
     SendOutcome sent;
-    for (;; granted = false) {
+    for (;;) {
         // tryAcquire grants only where that is side-effect-identical
         // to an acquire() that never waits.
         if (!granted && !protocol_->tryAcquire(node_))
             co_await protocol_->acquire(node_);
+        granted = false;
         if (abort && (*abort)()) {
             // Cancelled before reaching the channel. The claim must
             // still be dropped: a granted token (or a fuzzy-token
