@@ -120,7 +120,7 @@ DataChannel::arbitrate()
         // can never diverge. The slot is consumed either way; on a
         // drop no deliver runs and the sender learns of the loss when
         // its ack window expires. The ideal channel draws nothing.
-        if (lossEnabled_ && a->rng_ != nullptr) {
+        if (lossEnabled_) {
             // Burst mode steps the transmitter's Gilbert–Elliott chain
             // first (one extra draw per transmission — deterministic,
             // from the same per-node stream), then performs the usual
@@ -231,7 +231,7 @@ Mac::send(bool bulk, sim::UniqueFunction deliver,
             co_await coro::delay(engine_,
                                  channel_.nextFree() - engine_.now());
         const auto outcome = co_await DataChannel::Attempt(
-            channel_, node_, bulk, &deliver, abort, &rng_);
+            channel_, node_, bulk, &deliver, abort, rng_);
         if (outcome == DataChannel::Outcome::Collided) {
             // The protocol drops the claim, updates contention state
             // and performs this node's backoff; then contend again.

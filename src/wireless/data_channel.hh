@@ -227,9 +227,9 @@ class DataChannel
       public:
         Attempt(DataChannel &channel, sim::NodeId src, bool bulk,
                 sim::UniqueFunction *deliver,
-                const std::function<bool()> *abort, sim::Rng *rng)
+                const std::function<bool()> *abort, sim::Rng &rng)
             : engine_(channel.engine_), deliver_(deliver), abort_(abort),
-              rng_(rng), src_(src), bulk_(bulk)
+              rng_(&rng), src_(src), bulk_(bulk)
         {
             channel.joinSlot(*this);
         }
