@@ -45,10 +45,10 @@ class AdaptiveMac : public MacProtocol
 
     /**
      * Delegate to the active sub-policy, so adaptive-in-BRS sends
-     * skip the acquire() coroutine. BRS grants
-     * immediately (recording the granting policy exactly as acquire()
-     * would before its first suspension); the token ring keeps its
-     * default refusal, which leaves no trace.
+     * skip the acquire() coroutine. BRS grants immediately (recording
+     * the granting policy exactly as acquire() would before its first
+     * suspension); the token ring keeps its default refusal, which
+     * leaves no trace.
      */
     bool
     tryAcquire(sim::NodeId node) override
