@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "coro/primitives.hh"
 #include "harness/parallel_sweep.hh"
 #include "sim/engine.hh"
+#include "sim/function.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "workloads/cas_kernels.hh"
@@ -292,6 +294,92 @@ TEST(MacProtoToken, IdleRingSchedulesNoEvents)
     net.engine.run();
     // Demand-driven token: an idle ring must not spin the clock.
     EXPECT_EQ(net.engine.now(), 0u);
+}
+
+// ---- The single send path -----------------------------------------
+
+TEST(MacSendPath, AttemptResumesItsSenderWithTheSlotOutcome)
+{
+    WirelessConfig cfg;
+    ProtoNet net(4, cfg);
+    wisync::sim::Rng rng(7);
+    DataChannel::Outcome outcome[4] = {};
+    Cycle resumed_at[4] = {};
+    Cycle delivered_at[4] = {};
+    auto attempt = [&](std::uint32_t node, Cycle start,
+                       bool abort_it) -> Task<void> {
+        if (start > 0)
+            co_await delay(net.engine, start);
+        wisync::sim::UniqueFunction deliver = [&, node] {
+            delivered_at[node] = net.engine.now();
+        };
+        const std::function<bool()> abort = [abort_it] { return abort_it; };
+        outcome[node] = co_await DataChannel::Attempt(
+            net.channel, node, false, &deliver, &abort, rng);
+        resumed_at[node] = net.engine.now();
+    };
+    // Nodes 0 and 1 share the slot at cycle 0 and collide; the channel
+    // frees after the 2-cycle listen slot. At cycle 2 node 2's abort
+    // predicate holds, so it leaves the slot to node 3 alone, whose
+    // deliver runs at the end of its 5-cycle frame, before it resumes.
+    spawnNow(net.engine, attempt, 0u, Cycle{0}, false);
+    spawnNow(net.engine, attempt, 1u, Cycle{0}, false);
+    spawnNow(net.engine, attempt, 2u, Cycle{2}, true);
+    spawnNow(net.engine, attempt, 3u, Cycle{2}, false);
+    ASSERT_TRUE(net.engine.run(1'000));
+    EXPECT_EQ(outcome[0], DataChannel::Outcome::Collided);
+    EXPECT_EQ(outcome[1], DataChannel::Outcome::Collided);
+    EXPECT_EQ(resumed_at[0], 2u);
+    EXPECT_EQ(resumed_at[1], 2u);
+    EXPECT_EQ(outcome[2], DataChannel::Outcome::Aborted);
+    EXPECT_EQ(resumed_at[2], 2u);
+    EXPECT_EQ(outcome[3], DataChannel::Outcome::Delivered);
+    EXPECT_EQ(delivered_at[3], 7u);
+    EXPECT_EQ(resumed_at[3], 7u);
+    for (std::uint32_t n : {0u, 1u, 2u})
+        EXPECT_EQ(delivered_at[n], 0u) << "node " << n;
+    EXPECT_EQ(net.channel.stats().collisions.value(), 1u);
+    EXPECT_EQ(net.channel.stats().messages.value(), 1u);
+}
+
+TEST(MacSendPath, HitNeedsFreeOrderFreeChannelAndAGrant)
+{
+    // BRS grants at once, so only the order mutex and the channel can
+    // make a send wait.
+    {
+        WirelessConfig cfg;
+        ProtoNet net(2, cfg);
+        int delivered = 0;
+        auto send = [&](std::size_t mac, Cycle start) -> Task<void> {
+            if (start > 0)
+                co_await delay(net.engine, start);
+            co_await net.macs[mac]->send(false, [&] { ++delivered; });
+        };
+        spawnNow(net.engine, send, std::size_t{0}, Cycle{0}); // hit
+        // Node 0's order mutex is still held by its first send.
+        spawnNow(net.engine, send, std::size_t{0}, Cycle{0});
+        // Node 0's frame occupies the channel until cycle 5.
+        spawnNow(net.engine, send, std::size_t{1}, Cycle{1});
+        ASSERT_TRUE(net.engine.run(1'000'000));
+        EXPECT_EQ(delivered, 3);
+        EXPECT_EQ(net.channel.stats().fastpathHits.value(), 1u);
+        EXPECT_EQ(net.channel.stats().fastpathFallbacks.value(), 2u);
+    }
+    // A token protocol never grants without acquire(), so even a send
+    // on an idle channel with a free order mutex waits.
+    {
+        WirelessConfig cfg;
+        cfg.macKind = MacKind::Token;
+        ProtoNet net(2, cfg);
+        int delivered = 0;
+        spawnNow(net.engine, [&]() -> Task<void> {
+            co_await net.macs[1]->send(false, [&] { ++delivered; });
+        });
+        ASSERT_TRUE(net.engine.run(1'000'000));
+        EXPECT_EQ(delivered, 1);
+        EXPECT_EQ(net.channel.stats().fastpathHits.value(), 0u);
+        EXPECT_EQ(net.channel.stats().fastpathFallbacks.value(), 1u);
+    }
 }
 
 // ---- FuzzyTokenMac properties -------------------------------------
