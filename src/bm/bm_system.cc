@@ -434,13 +434,13 @@ BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
         p.active = false;
         co_return BmCasResult{old, false, false};
     }
-    const std::function<bool()> abort = [&p] { return p.afb; };
+    const auto abort = [&p] { return p.afb; };
     const auto sent = co_await macs_[node]->send(
         false,
         [this, node, addr, desired = *value] {
             deliverRmw(node, addr, desired);
         },
-        &abort);
+        abort);
     // A reliability-layer give-up rides the AFB contract: the write
     // never occurred, the instruction completes, software retries
     // (Fig. 4(a)) — identical observable semantics, no new hang path.
@@ -548,7 +548,7 @@ BmSystem::announceTask(sim::NodeId node, sim::BmAddr addr,
     // this chip's tone controller (tone barriers are per-die hardware).
     wireless::ToneChannel *tone = tones_[chipOf(node)].get();
     // The abort predicate lives in this frame for the whole send.
-    const std::function<bool()> abort = [tone, addr, epoch] {
+    const auto abort = [tone, addr, epoch] {
         return tone->isActive(addr) || tone->epochOf(addr) != epoch;
     };
     // Never a lost wakeup: an announcement the reliability layer gave
@@ -557,7 +557,7 @@ BmSystem::announceTask(sim::NodeId node, sim::BmAddr addr,
     // announcement activated the barrier, or the epoch moved on).
     while (co_await macs_[node]->send(
                false, [tone, addr] { tone->activate(addr); },
-               &abort) == wireless::SendOutcome::GaveUp)
+               abort) == wireless::SendOutcome::GaveUp)
         stats_.sendReissues.inc();
 }
 

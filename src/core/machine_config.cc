@@ -157,10 +157,11 @@ MachineConfig::describe() const
         // print identical labels.
         char buf[96];
         std::snprintf(buf, sizeof(buf),
-                      " loss=%g%%%s ack=%u retries=%u boexp=%u",
+                      " loss=%g%%%s ack=%llu retries=%u boexp=%u",
                       wireless.lossPct, wireless.berFromSnr ? "+snr" : "",
-                      wireless.ackTimeoutCycles, wireless.maxRetries,
-                      wireless.retryBackoffMaxExp);
+                      static_cast<unsigned long long>(
+                          wireless.ackTimeoutCycles),
+                      wireless.maxRetries, wireless.retryBackoffMaxExp);
         out += buf;
     }
     // Burst and per-channel-profile knobs, likewise only off their

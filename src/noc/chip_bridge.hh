@@ -9,17 +9,19 @@
  * serialize in FIFO order at a configurable width — serialization IS
  * the bridge's MAC, there is no contention loss — and each frame lands
  * on the remote chips one propagation latency after its last flit
- * leaves. Delivery runs a caller callback at the arrival instant, so
- * the BM layer can apply the update and fire AFB aborts in one atomic
- * simulation step, exactly like a Data-channel delivery.
+ * leaves. The caller's delivery callback is an engine event that runs
+ * at the arrival instant, so the BM layer can apply the update and
+ * fire AFB aborts in one atomic simulation step, exactly like a
+ * Data-channel delivery.
  *
  * The link may be lossy: a package-level waveguide fails in bursts
- * (reflections / thermal episodes, Bandara et al.), so the loss draw
- * is a single Gilbert–Elliott chain over the shared medium (or an
- * i.i.d. lossPct), stepped once per serialization from the bridge's
- * own forked RNG stream. A dropped frame costs its serialization
- * cycles plus an ack window, then retransmits with bounded exponential
- * spacing — the Mac reliability contract. After maxRetries the bridge
+ * (reflections / thermal episodes, Bandara et al.). The loss knobs,
+ * the drop draw and the retry rule are the Data channel's
+ * (wireless::LinkReliability, burst.hh): a single Gilbert–Elliott
+ * chain over the shared medium (or an i.i.d. lossPct), stepped once
+ * per serialization from the bridge's own forked RNG stream. A dropped
+ * frame costs its serialization cycles plus an ack window, then
+ * retransmits with bounded exponential spacing. After maxRetries the bridge
  * gives up AND immediately re-issues the frame with a fresh retry
  * budget: a global BM update is never silently lost (the version
  * clocks make an arbitrarily late arrival safe — stale cross-chip
@@ -45,8 +47,10 @@
 
 namespace wisync::noc {
 
-/** Bridge link knobs. */
-struct BridgeConfig
+/** Bridge link knobs; the loss knobs (defaults: the ideal bridge)
+ *  come from LinkReliability. A give-up re-issues the frame with a
+ *  fresh budget instead of dropping it. */
+struct BridgeConfig : wireless::LinkReliability
 {
     /** Propagation latency, last flit out -> remote delivery, cycles. */
     sim::Cycle latencyCycles = 24;
@@ -54,22 +58,6 @@ struct BridgeConfig
     std::uint32_t widthBits = 64;
     /** Fixed per-frame header (routing + word address + version). */
     std::uint32_t headerBits = 32;
-
-    // ---- Lossy link + reliability (defaults: the ideal bridge) ----
-    /** i.i.d. probability, percent, that a serialized frame is
-     *  corrupted and must be retransmitted. */
-    double lossPct = 0.0;
-    /** Correlated loss: one Gilbert–Elliott chain over the shared
-     *  medium replaces the i.i.d. draw when enabled. */
-    wireless::BurstParams burst;
-    /** Cycles the bridge waits for the missing remote ack before
-     *  declaring a frame lost. */
-    sim::Cycle ackTimeoutCycles = 4;
-    /** Retransmissions per frame before a give-up is recorded (the
-     *  frame is then RE-ISSUED with a fresh budget, never dropped). */
-    std::uint32_t maxRetries = 8;
-    /** Cap on the bounded exponential retransmission backoff. */
-    std::uint32_t retryBackoffMaxExp = 6;
 
     bool operator==(const BridgeConfig &) const = default;
 
@@ -79,16 +67,11 @@ struct BridgeConfig
     static void
     visitFields(Self &self, V &v)
     {
-        using sim::field, sim::group, sim::kJson;
+        using sim::field, sim::kJson;
         v(field("latencyCycles", self.latencyCycles, 0, 1ull << 32, kJson));
         v(field("widthBits", self.widthBits, 1, 65536, kJson));
         v(field("headerBits", self.headerBits, 0, 65536, kJson));
-        v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
-        v(group("burst", self.burst, kJson));
-        v(field("ackTimeoutCycles", self.ackTimeoutCycles, 0, 1ull << 32,
-                kJson));
-        v(field("maxRetries", self.maxRetries, kJson));
-        v(field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32, kJson));
+        LinkReliability::visitFields(self, v);
     }
 };
 
@@ -130,20 +113,21 @@ class ChipBridge
      * re-issues), but it always comes: no frame is silently lost.
      */
     void
-    post(std::uint32_t payload_bits, sim::UniqueFunction deliver)
+    post(std::uint32_t payload_bits, sim::EventFn deliver)
     {
         stats_.frames.inc();
-        InFlight *f = acquireInFlight();
-        f->bits = cfg_.headerBits + payload_bits;
-        f->drops = 0;
-        f->deliver = std::move(deliver);
+        const std::uint32_t bits = cfg_.headerBits + payload_bits;
         if (!lossy()) {
             // The ideal link: exactly the pre-loss event stream — one
             // serialization, one delivery event, zero RNG draws.
-            serialize(f->bits);
-            scheduleDelivery(f);
+            serialize(bits);
+            scheduleDelivery(std::move(deliver));
             return;
         }
+        InFlight *f = acquireInFlight();
+        f->bits = bits;
+        f->drops = 0;
+        f->deliver = std::move(deliver);
         attempt(f);
     }
 
@@ -152,7 +136,7 @@ class ChipBridge
 
     /** True when any frame can be corrupted. False costs nothing:
      *  zero RNG draws, the pre-loss event stream. */
-    bool lossy() const { return cfg_.lossPct > 0.0 || cfg_.burst.lossy(); }
+    bool lossy() const { return cfg_.lossy(); }
 
     /** The bridge's private RNG stream for the loss draws. BmSystem
      *  forks it from the machine seed after the per-node Mac streams
@@ -200,9 +184,9 @@ class ChipBridge
     }
 
   private:
-    /** One posted frame awaiting delivery. Pooled: steady-state posts
-     *  reuse recycled buffers, and every engine event of a frame
-     *  carries only `[this, f]`. */
+    /** One frame of a lossy link awaiting a surviving serialization.
+     *  Pooled: steady-state posts reuse recycled buffers, and every
+     *  retry event of a frame carries only `[this, f]`. */
     struct InFlight
     {
         std::uint32_t bits = 0;
@@ -211,31 +195,26 @@ class ChipBridge
         /** The scheduled step after a drop retransmits (else the
          *  budget is spent and the frame is re-issued). */
         bool retry = false;
-        sim::UniqueFunction deliver;
+        sim::EventFn deliver;
     };
-
 
     /**
      * One serialization attempt of @p f: occupy the link FIFO slot,
      * then draw the loss Bernoulli. A drop schedules the next attempt
      * after the ack window (+ bounded exponential backoff within the
      * budget; a give-up re-issues with a fresh budget instead of
-     * losing the frame); a survival schedules the remote delivery.
+     * losing the frame); a survival schedules the remote delivery and
+     * recycles the buffer.
      */
     void
     attempt(InFlight *f)
     {
         serialize(f->bits);
-        const double per = cfg_.burst.enabled
-                               ? burstState_.step(cfg_.burst, rng_)
-                               : cfg_.lossPct / 100.0;
+        const double per = cfg_.dropRate(burstState_, rng_);
         if (per > 0.0 && rng_.chance(per)) {
             stats_.drops.inc();
             stats_.ackTimeouts.inc();
-            ++f->drops;
-            const wireless::RetryStep step = wireless::retryAfterDrop(
-                f->drops, cfg_.ackTimeoutCycles, cfg_.maxRetries,
-                cfg_.retryBackoffMaxExp);
+            const wireless::RetryStep step = cfg_.retryAfterDrop(++f->drops);
             f->retry = step.retry;
             engine_.schedule(nextFree_ + step.wait, [this, f] {
                 if (!f->retry) {
@@ -253,7 +232,8 @@ class ChipBridge
             });
             return;
         }
-        scheduleDelivery(f);
+        scheduleDelivery(std::move(f->deliver));
+        free_.push_back(f);
     }
 
     /** Occupy the link FIFO for one serialization of @p bits. */
@@ -268,15 +248,12 @@ class ChipBridge
         nextFree_ = start + ser;
     }
 
-    /** Run @p f's deliver at the remote arrival of the serialization
-     *  that just ended, then recycle the buffer. */
+    /** Run @p deliver at the remote arrival of the serialization that
+     *  just ended: the callback is the delivery event itself. */
     void
-    scheduleDelivery(InFlight *f)
+    scheduleDelivery(sim::EventFn deliver)
     {
-        engine_.schedule(nextFree_ + cfg_.latencyCycles, [this, f] {
-            f->deliver();
-            releaseInFlight(f);
-        });
+        engine_.schedule(nextFree_ + cfg_.latencyCycles, std::move(deliver));
     }
 
     InFlight *
@@ -289,13 +266,6 @@ class ChipBridge
         InFlight *f = free_.back();
         free_.pop_back();
         return f;
-    }
-
-    void
-    releaseInFlight(InFlight *f)
-    {
-        f->deliver = {};
-        free_.push_back(f);
     }
 
     sim::Engine &engine_;

@@ -1,23 +1,17 @@
 /**
  * @file
- * Move-only type-erased callables.
+ * Type-erased callables.
  *
- * std::function requires copyability, which rules out lambdas that own
- * coroutine frames or other move-only resources. Both callables here
- * store small trivially-copyable payloads inline, so moving one is a
- * plain byte copy (no per-type relocation call, no possibility of
- * interior-pointer breakage). Anything larger or non-trivially-
- * copyable — e.g. a lambda owning a vector — transparently falls back
- * to a heap allocation.
- *
- *  - UniqueFunction: a 48-byte inline buffer, for callbacks that model
- *    components carry around (the BM deliver closures a Mac::send or a
- *    bridge frame transports capture several words of update state).
- *  - EventFn: the engine's event callable, a 16-byte inline buffer and
- *    one trampoline pointer. Coroutine resumes and every payload the
- *    models schedule (`[this]`, `[p]`, `[this, f]`, one-pointer
- *    functors) fit, which keeps an engine slot at 32 bytes and the
- *    event kernel allocation-free in steady state.
+ *  - EventFn: the engine's move-only event callable, a 16-byte inline
+ *    buffer and one trampoline pointer. Coroutine resumes and every
+ *    payload the models schedule (`[this]`, `[p]`, `[this, f]`,
+ *    one-pointer functors) fit, which keeps an engine slot at 32 bytes
+ *    and the event kernel allocation-free in steady state. Anything
+ *    larger or non-trivially-copyable transparently falls back to a
+ *    heap allocation.
+ *  - FunctionRef: a non-owning reference to a callable that outlives
+ *    the call, such as the deliver and abort lambdas a Mac::send
+ *    borrows from its caller's co_await.
  */
 
 #ifndef WISYNC_SIM_FUNCTION_HH
@@ -31,124 +25,6 @@
 #include <utility>
 
 namespace wisync::sim {
-
-/** Move-only void() callable with small-buffer optimization. */
-class UniqueFunction
-{
-  public:
-    /** Payloads up to this size (and trivially copyable) stay inline. */
-    static constexpr std::size_t kInlineSize = 48;
-    static constexpr std::size_t kInlineAlign = alignof(void *);
-
-    UniqueFunction() = default;
-
-    template <typename F,
-              typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, UniqueFunction>>>
-    UniqueFunction(F &&f)
-    {
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void *>(storage_)) D(std::forward<F>(f));
-            ops_ = &InlineOps<D>::ops;
-        } else {
-            D *p = new D(std::forward<F>(f));
-            std::memcpy(storage_, &p, sizeof(p));
-            ops_ = &HeapOps<D>::ops;
-        }
-    }
-
-    // Relocation copies the whole inline buffer: payloads smaller than
-    // the buffer leave trailing bytes uninitialized, which is benign
-    // (they are never read through the payload type) but trips GCC's
-    // -Wmaybe-uninitialized.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-    UniqueFunction(UniqueFunction &&other) noexcept : ops_(other.ops_)
-    {
-        if (ops_ != nullptr)
-            std::memcpy(storage_, other.storage_, kInlineSize);
-        other.ops_ = nullptr;
-    }
-
-    UniqueFunction &
-    operator=(UniqueFunction &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            if (other.ops_ != nullptr)
-                std::memcpy(storage_, other.storage_, kInlineSize);
-            ops_ = std::exchange(other.ops_, nullptr);
-        }
-        return *this;
-    }
-#pragma GCC diagnostic pop
-
-    UniqueFunction(const UniqueFunction &) = delete;
-    UniqueFunction &operator=(const UniqueFunction &) = delete;
-
-    ~UniqueFunction() { reset(); }
-
-    explicit operator bool() const { return ops_ != nullptr; }
-
-    void operator()() { ops_->call(storage_); }
-
-    /** True when the payload lives in the inline buffer (test hook). */
-    bool usesInlineStorage() const { return ops_ && ops_->inlineStored; }
-
-  private:
-    struct Ops
-    {
-        void (*call)(void *);
-        void (*destroy)(void *); // nullptr: trivially destructible inline
-        bool inlineStored;
-    };
-
-    // Inline storage demands trivial copyability: moves are memcpy, and
-    // trivially-copyable types are also trivially destructible, so the
-    // inline path needs no destroy hook at all.
-    template <typename D>
-    static constexpr bool fitsInline =
-        sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
-        std::is_trivially_copyable_v<D>;
-
-    template <typename D>
-    struct InlineOps
-    {
-        static void
-        call(void *p)
-        {
-            (*std::launder(reinterpret_cast<D *>(p)))();
-        }
-        static constexpr Ops ops{&call, nullptr, true};
-    };
-
-    template <typename D>
-    struct HeapOps
-    {
-        static D *
-        ptr(void *p)
-        {
-            D *d;
-            std::memcpy(&d, p, sizeof(d));
-            return d;
-        }
-        static void call(void *p) { (*ptr(p))(); }
-        static void destroy(void *p) { delete ptr(p); }
-        static constexpr Ops ops{&call, &destroy, false};
-    };
-
-    void
-    reset()
-    {
-        if (ops_ && ops_->destroy)
-            ops_->destroy(storage_);
-        ops_ = nullptr;
-    }
-
-    alignas(kInlineAlign) unsigned char storage_[kInlineSize];
-    const Ops *ops_ = nullptr;
-};
 
 /**
  * The engine's event callable: run once, then gone.
@@ -283,11 +159,12 @@ class EventFn
 };
 
 /**
- * Non-owning reference to a callable (the `void()`-shaped cousin of
- * C++26 std::function_ref). Used for completion callbacks whose
- * referent provably outlives the call — e.g. a commit lambda living in
- * an awaiting coroutine frame — where std::function's copy + possible
- * heap allocation is pure waste.
+ * Non-owning reference to a callable (the cousin of C++26
+ * std::function_ref). Used for callbacks whose referent provably
+ * outlives the call — e.g. a commit lambda living in an awaiting
+ * coroutine frame — where std::function's copy + possible heap
+ * allocation is pure waste. A default-constructed reference is empty
+ * (false) and must not be called.
  */
 template <typename Sig>
 class FunctionRef;
@@ -296,6 +173,8 @@ template <typename R, typename... Args>
 class FunctionRef<R(Args...)>
 {
   public:
+    FunctionRef() = default;
+
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, FunctionRef> &&
@@ -309,6 +188,8 @@ class FunctionRef<R(Args...)>
           })
     {}
 
+    explicit operator bool() const { return call_ != nullptr; }
+
     R
     operator()(Args... args) const
     {
@@ -316,8 +197,8 @@ class FunctionRef<R(Args...)>
     }
 
   private:
-    void *obj_;
-    R (*call_)(void *, Args...);
+    void *obj_ = nullptr;
+    R (*call_)(void *, Args...) = nullptr;
 };
 
 } // namespace wisync::sim

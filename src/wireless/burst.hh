@@ -1,6 +1,9 @@
 /**
  * @file
- * Deterministic two-state Gilbert–Elliott link model.
+ * The lossy-link layer shared by the Data channel and the chip
+ * bridge: a deterministic two-state Gilbert–Elliott loss model, and
+ * LinkReliability, the loss knobs, drop-rate step and bounded-retry
+ * rule both links draw through.
  *
  * Real in-package channels do not fail i.i.d.: interference and
  * resonance episodes corrupt several consecutive frames, then clear
@@ -15,7 +18,9 @@
  * transmitter's existing RNG stream (DataChannel) or the link's own
  * forked stream (ChipBridge), so replay stays exact and a disabled
  * chain draws nothing — the byte-identity contract every "off" knob in
- * this simulator obeys.
+ * this simulator obeys. WirelessConfig and BridgeConfig each derive
+ * from LinkReliability, so every loss knob is declared once and keeps
+ * its JSON key under both "wireless" and "bridge".
  */
 
 #ifndef WISYNC_WIRELESS_BURST_HH
@@ -150,24 +155,79 @@ struct RetryStep
 };
 
 /**
- * The bounded-retry rule of both lossy links (the Data channel's Mac
- * and the chip bridge), after the @p drops-th loss charged to the
- * current budget: retransmit after the ack window plus
- * 2^min(drops, backoff_max_exp) cycles, or give up once drops exceeds
- * @p max_retries, waiting only the ack window (the sender cannot know
- * of the loss any earlier). Deterministic: the packet-error draws
- * already decorrelate senders.
+ * The reliability layer of both lossy links, the Data channel and the
+ * chip bridge: the loss knobs (defaults: the ideal link), the
+ * per-transmission drop rate and the bounded-retry rule. Each link
+ * config derives from it and splices visitFields() into its own list.
  */
-inline RetryStep
-retryAfterDrop(std::uint32_t drops, sim::Cycle ack_timeout,
-               std::uint32_t max_retries, std::uint32_t backoff_max_exp)
+struct LinkReliability
 {
-    if (drops > max_retries)
-        return {ack_timeout, false};
-    const std::uint32_t exp =
-        drops < backoff_max_exp ? drops : backoff_max_exp;
-    return {ack_timeout + (sim::Cycle{1} << exp), true};
-}
+    /** i.i.d. probability, percent, that a transmission is corrupted
+     *  and must be retransmitted. */
+    double lossPct = 0.0;
+    /** Correlated loss: a Gilbert–Elliott chain replaces the i.i.d.
+     *  draw when enabled. Disabled (the default) draws nothing. */
+    BurstParams burst;
+    /** Cycles the sender waits for the missing ack before declaring a
+     *  transmission lost. */
+    sim::Cycle ackTimeoutCycles = 4;
+    /** Retransmissions per budget before the sender gives up (the
+     *  Mac surfaces SendOutcome::GaveUp; the bridge re-issues). */
+    std::uint32_t maxRetries = 8;
+    /** Cap on the bounded exponential retransmission backoff: the
+     *  i-th retry waits min(2^i, 2^retryBackoffMaxExp) extra cycles. */
+    std::uint32_t retryBackoffMaxExp = 6;
+
+    bool operator==(const LinkReliability &) const = default;
+
+    /** True when the link can drop a frame. False costs nothing: zero
+     *  RNG draws, the event stream of a link without this layer. */
+    bool lossy() const { return lossPct > 0.0 || burst.lossy(); }
+
+    /**
+     * This transmission's link-level drop probability, a fraction in
+     * [0, 1]: the i.i.d. rate without a draw, or one step of the
+     * Gilbert–Elliott chain @p state (exactly one draw from @p rng).
+     */
+    double
+    dropRate(BurstState &state, sim::Rng &rng) const
+    {
+        return burst.enabled ? state.step(burst, rng) : lossPct / 100.0;
+    }
+
+    /**
+     * The bounded-retry rule, after the @p drops-th loss charged to the
+     * current budget: retransmit after the ack window plus
+     * 2^min(drops, retryBackoffMaxExp) cycles, or give up once drops
+     * exceeds maxRetries, waiting only the ack window (the sender
+     * cannot know of the loss any earlier). Deterministic: the
+     * packet-error draws already decorrelate senders.
+     */
+    RetryStep
+    retryAfterDrop(std::uint32_t drops) const
+    {
+        if (drops > maxRetries)
+            return {ackTimeoutCycles, false};
+        const std::uint32_t exp =
+            drops < retryBackoffMaxExp ? drops : retryBackoffMaxExp;
+        return {ackTimeoutCycles + (sim::Cycle{1} << exp), true};
+    }
+
+    /** The field list (sim/fields.hh), spliced into each link's own.
+     *  The caps keep every wait in a cycle count. */
+    template <class Self, class V>
+    static void
+    visitFields(Self &self, V &v)
+    {
+        using sim::field, sim::group, sim::kJson;
+        v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
+        v(group("burst", self.burst, kJson));
+        v(field("ackTimeoutCycles", self.ackTimeoutCycles, 0, 1ull << 32,
+                kJson));
+        v(field("maxRetries", self.maxRetries, kJson));
+        v(field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32, kJson));
+    }
+};
 
 } // namespace wisync::wireless
 

@@ -8,10 +8,8 @@
 namespace wisync::wireless {
 
 DataChannel::DataChannel(sim::Engine &engine, const WirelessConfig &cfg)
-    : engine_(engine), cfg_(cfg)
-{
-    lossEnabled_ = cfg_.lossPct > 0.0 || cfg_.burst.lossy();
-}
+    : engine_(engine), cfg_(cfg), lossEnabled_(cfg_.lossy())
+{}
 
 void
 DataChannel::reset(const WirelessConfig &cfg)
@@ -23,7 +21,7 @@ DataChannel::reset(const WirelessConfig &cfg)
     dropData_.clear();
     dropBulk_.clear();
     burstStates_.clear();
-    lossEnabled_ = cfg_.lossPct > 0.0 || cfg_.burst.lossy();
+    lossEnabled_ = cfg_.lossy();
     stats_.reset();
 }
 
@@ -32,33 +30,17 @@ DataChannel::setDropTable(std::vector<double> data, std::vector<double> bulk)
 {
     dropData_ = std::move(data);
     dropBulk_ = std::move(bulk);
-    lossEnabled_ =
-        cfg_.lossPct > 0.0 || !dropData_.empty() || cfg_.burst.lossy();
+    lossEnabled_ = cfg_.lossy() || !dropData_.empty();
 }
 
 double
-DataChannel::dropProbability(sim::NodeId src, bool bulk) const
+DataChannel::dropProbability(sim::NodeId src, bool bulk,
+                             double link_rate) const
 {
-    // The uniform knob and the SNR-derived per-link rate are
-    // independent corruption sources; survival probabilities multiply.
-    double ok = 1.0 - cfg_.lossPct / 100.0;
-    const auto &table = bulk ? dropBulk_ : dropData_;
-    if (src < table.size())
-        ok *= 1.0 - table[src];
-    const double per = 1.0 - ok;
-    return per < 0.0 ? 0.0 : (per > 1.0 ? 1.0 : per);
-}
-
-double
-DataChannel::burstDropProbability(sim::NodeId src, bool bulk, sim::Rng &rng)
-{
-    // The Gilbert–Elliott chain replaces the uniform lossPct knob: its
-    // per-state rate IS the "interference" corruption source. The
-    // SNR-derived per-link rate is still an independent source, so the
-    // survival probabilities multiply exactly as in dropProbability().
-    if (burstStates_.size() <= src)
-        burstStates_.resize(src + 1);
-    double ok = 1.0 - burstStates_[src].step(cfg_.burst, rng);
+    // The link-level rate (i.i.d. lossPct or the Gilbert–Elliott
+    // state's) and the SNR-derived per-link rate are independent
+    // corruption sources; survival probabilities multiply.
+    double ok = 1.0 - link_rate;
     const auto &table = bulk ? dropBulk_ : dropData_;
     if (src < table.size())
         ok *= 1.0 - table[src];
@@ -96,7 +78,7 @@ DataChannel::arbitrate()
     // the write is attempted never reaches the air.
     std::size_t live = 0;
     for (Attempt *a : arbScratch_) {
-        if (a->abort_ && (*a->abort_)())
+        if (a->abort_ && a->abort_())
             a->complete(Outcome::Aborted);
         else
             arbScratch_[live++] = a;
@@ -125,10 +107,11 @@ DataChannel::arbitrate()
             // first (one extra draw per transmission — deterministic,
             // from the same per-node stream), then performs the usual
             // drop Bernoulli against the composed probability.
-            const double per =
-                cfg_.burst.enabled
-                    ? burstDropProbability(a->src_, a->bulk_, *a->rng_)
-                    : dropProbability(a->src_, a->bulk_);
+            if (burstStates_.size() <= a->src_)
+                burstStates_.resize(a->src_ + 1);
+            const double per = dropProbability(
+                a->src_, a->bulk_,
+                cfg_.dropRate(burstStates_[a->src_], *a->rng_));
             if (per > 0.0 && a->rng_->chance(per)) {
                 stats_.drops.inc();
                 engine_.scheduleIn(
@@ -139,8 +122,7 @@ DataChannel::arbitrate()
         // Delivery happens at the end of the transmission: the deliver
         // callback is the total-order commit point for BM updates.
         engine_.scheduleIn(dur, [a] {
-            if (*a->deliver_)
-                (*a->deliver_)();
+            a->deliver_();
             a->complete(Outcome::Delivered);
         });
         return;
@@ -177,10 +159,7 @@ Mac::reset(MacProtocol &protocol, sim::Rng rng)
 coro::Task<bool>
 Mac::ackTimeoutRetry(std::uint32_t drops)
 {
-    const WirelessConfig &cfg = channel_.config();
-    const RetryStep step =
-        retryAfterDrop(drops, cfg.ackTimeoutCycles, cfg.maxRetries,
-                       cfg.retryBackoffMaxExp);
+    const RetryStep step = channel_.config().retryAfterDrop(drops);
     protocol_->noteAckTimeout(step.wait);
     co_await coro::delay(engine_, step.wait);
     if (step.retry)
@@ -191,8 +170,8 @@ Mac::ackTimeoutRetry(std::uint32_t drops)
 }
 
 coro::Task<SendOutcome>
-Mac::send(bool bulk, sim::UniqueFunction deliver,
-          const std::function<bool()> *abort)
+Mac::send(bool bulk, sim::FunctionRef<void()> deliver,
+          sim::FunctionRef<bool()> abort)
 {
     // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
     // store proceeds until the current one performed). A send that
@@ -215,7 +194,7 @@ Mac::send(bool bulk, sim::UniqueFunction deliver,
         if (!granted && !protocol_->tryAcquire(node_))
             co_await protocol_->acquire(node_);
         granted = false;
-        if (abort && (*abort)()) {
+        if (abort && abort()) {
             // Cancelled before reaching the channel. The claim must
             // still be dropped: a granted token (or a fuzzy-token
             // contention grant picked up during the last collision)
@@ -231,7 +210,7 @@ Mac::send(bool bulk, sim::UniqueFunction deliver,
             co_await coro::delay(engine_,
                                  channel_.nextFree() - engine_.now());
         const auto outcome = co_await DataChannel::Attempt(
-            channel_, node_, bulk, &deliver, abort, rng_);
+            channel_, node_, bulk, deliver, abort, rng_);
         if (outcome == DataChannel::Outcome::Collided) {
             // The protocol drops the claim, updates contention state
             // and performs this node's backoff; then contend again.

@@ -22,6 +22,12 @@
  * order mutex free, the channel free and the protocol willing to grant
  * at once joins its first slot without suspending; the others wait on
  * the same loop and land at the same event-stream positions.
+ *
+ * The channel may be lossy. Its loss knobs, drop-rate step and retry
+ * rule are the chip bridge's (LinkReliability, wireless/burst.hh): an
+ * i.i.d. lossPct or a per-transmitter Gilbert–Elliott chain, composed
+ * with the RF model's SNR drop table, decides each won slot by one
+ * Bernoulli draw from the transmitter's RNG stream.
  */
 
 #ifndef WISYNC_WIRELESS_DATA_CHANNEL_HH
@@ -51,8 +57,13 @@ class MacProtocol;
 constexpr std::uint32_t kDataFrameBits = 77;
 constexpr std::uint32_t kBulkFrameBits = 77 + 3 * 64;
 
-/** Wireless timing knobs (Table 1 defaults) + MAC selection. */
-struct WirelessConfig
+/** Wireless timing knobs (Table 1 defaults) + MAC selection. The
+ *  loss knobs come from LinkReliability; with lossPct = 0, no burst
+ *  chain and berFromSnr = false (the defaults) the channel is ideal:
+ *  no RNG draws, no retry machinery, byte-identical event streams to
+ *  a build without the loss layer. A give-up surfaces as
+ *  SendOutcome::GaveUp. */
+struct WirelessConfig : LinkReliability
 {
     /** Cycles to transmit an ordinary 77-bit message. */
     std::uint32_t dataCycles = 5;
@@ -61,33 +72,12 @@ struct WirelessConfig
     /** Channel-busy cycles consumed by a collision. */
     std::uint32_t collisionCycles = 2;
 
-    // ---- Lossy channel model + reliability layer ------------------
-    // lossPct = 0 and berFromSnr = false (the defaults) keep the ideal
-    // channel: no RNG draws, no retry machinery, byte-identical event
-    // streams to a build without the loss layer.
-    /** Uniform probability, percent, that a broadcast is corrupted at
-     *  some receiver and must be retransmitted. */
-    double lossPct = 0.0;
     /** Derive per-transmitter loss from the RF channel model
-     *  (distance -> path loss -> SNR -> BER) instead of, or on top
-     *  of, the uniform lossPct (BmSystem installs the drop table). */
+     *  (distance -> path loss -> SNR -> BER) on top of the lossPct or
+     *  burst draw (BmSystem installs the drop table). */
     bool berFromSnr = false;
     /** Transmit power for the SNR -> BER derivation, dBm. */
     double txPowerDbm = 10.0;
-    /** Cycles a sender waits for the missing ack before declaring a
-     *  transmission lost. */
-    std::uint32_t ackTimeoutCycles = 4;
-    /** Retransmissions per send before the MAC gives up and surfaces
-     *  a typed delivery failure (SendOutcome::GaveUp). */
-    std::uint32_t maxRetries = 8;
-    /** Cap on the bounded exponential retransmission backoff: the
-     *  i-th retry waits min(2^i, 2^retryBackoffMaxExp) extra cycles. */
-    std::uint32_t retryBackoffMaxExp = 6;
-    /** Correlated (bursty) loss: a per-transmitter Gilbert–Elliott
-     *  chain replaces the i.i.d. lossPct draw when enabled. The
-     *  SNR-derived drop table still composes on top. Disabled (the
-     *  default) draws nothing — byte-identical to the i.i.d. model. */
-    BurstParams burst;
     /** Per-frequency-channel loss profile: extra attenuation folded
      *  into every link of spectrum slot s, channelLossBaseDb +
      *  s * channelLossStepDb (carriers at different frequencies see
@@ -130,17 +120,13 @@ struct WirelessConfig
     static void
     visitFields(Self &self, V &v)
     {
-        using sim::field, sim::group, sim::kJson, sim::kNoFlags;
+        using sim::field, sim::kJson, sim::kNoFlags;
         v(field("dataCycles", self.dataCycles, 1, UINT32_MAX, kNoFlags));
         v(field("bulkCycles", self.bulkCycles, kNoFlags));
         v(field("collisionCycles", self.collisionCycles, kNoFlags));
-        v(field("lossPct", self.lossPct, 0.0, 100.0, kJson));
+        LinkReliability::visitFields(self, v);
         v(field("berFromSnr", self.berFromSnr, kJson));
         v(field("txPowerDbm", self.txPowerDbm, -100.0, 100.0, kJson));
-        v(field("ackTimeoutCycles", self.ackTimeoutCycles, kJson));
-        v(field("maxRetries", self.maxRetries, kJson));
-        v(field("retryBackoffMaxExp", self.retryBackoffMaxExp, 0, 32, kJson));
-        v(group("burst", self.burst, kJson));
         v(field("channelLossBaseDb", self.channelLossBaseDb, -200.0, 200.0,
                 kJson));
         v(field("channelLossStepDb", self.channelLossStepDb, -200.0, 200.0,
@@ -211,23 +197,24 @@ class DataChannel
      * One slot attempt, awaited by Mac::send: contend for the slot
      * opening at now(), then either transmit fully (running @p deliver
      * at the delivery instant), collide, or abort (the @p abort
-     * predicate is evaluated at arbitration time, i.e. "when the write
-     * is attempted" — the paper's AFB semantics). Under a lossy
+     * predicate, if set, is evaluated at arbitration time, i.e. "when
+     * the write is attempted" — the paper's AFB semantics). Under a lossy
      * channel (@see lossy()) a won slot may instead be Dropped, decided
      * by one Bernoulli draw from @p rng — the transmitting node's
      * stream, so runs stay bit-reproducible. The MAC layers retries,
      * backoff and ack timeouts on top of this.
      *
      * Registers on construction, which is only legal once now() >=
-     * nextFree(). It lives in the sender's frame; the channel's
+     * nextFree(). It lives in the sender's frame, and so do the
+     * callables @p deliver and @p abort refer to; the channel's
      * completion event resumes the sender through the ready ring.
      */
     class Attempt
     {
       public:
         Attempt(DataChannel &channel, sim::NodeId src, bool bulk,
-                sim::UniqueFunction *deliver,
-                const std::function<bool()> *abort, sim::Rng &rng)
+                sim::FunctionRef<void()> deliver,
+                sim::FunctionRef<bool()> abort, sim::Rng &rng)
             : engine_(channel.engine_), deliver_(deliver), abort_(abort),
               rng_(&rng), src_(src), bulk_(bulk)
         {
@@ -252,8 +239,8 @@ class DataChannel
         }
 
         sim::Engine &engine_;
-        sim::UniqueFunction *deliver_;
-        const std::function<bool()> *abort_;
+        sim::FunctionRef<void()> deliver_;
+        sim::FunctionRef<bool()> abort_;
         /** Transmitter's RNG stream for the packet-error draw; only
          *  consulted when the channel is lossy. */
         sim::Rng *rng_;
@@ -298,9 +285,18 @@ class DataChannel
      *  an event stream identical to the pre-loss simulator. */
     bool lossy() const { return lossEnabled_; }
 
-    /** Probability a broadcast from @p src fails to reach every node
-     *  under the i.i.d. model (lossPct x SNR drop table). */
-    double dropProbability(sim::NodeId src, bool bulk) const;
+    /** Probability a broadcast from @p src fails to reach every node:
+     *  the link-level @p link_rate (a LinkReliability::dropRate) and
+     *  the SNR drop table are independent sources. */
+    double dropProbability(sim::NodeId src, bool bulk,
+                           double link_rate) const;
+
+    /** The same under the i.i.d. model (lossPct x SNR drop table). */
+    double
+    dropProbability(sim::NodeId src, bool bulk) const
+    {
+        return dropProbability(src, bulk, cfg_.lossPct / 100.0);
+    }
 
     /** The Gilbert–Elliott state of transmitter @p src (Good until its
      *  first burst-mode transmission). Test/introspection hook. */
@@ -335,11 +331,6 @@ class DataChannel
 
     void arbitrate();
 
-    /** Burst mode: step @p src's chain from @p rng and compose the
-     *  per-state rate with the SNR drop table for this transmission. */
-    double burstDropProbability(sim::NodeId src, bool bulk,
-                                sim::Rng &rng);
-
     sim::Engine &engine_;
     WirelessConfig cfg_;
     sim::Cycle nextFree_ = 0;
@@ -352,8 +343,9 @@ class DataChannel
     /** Per-tx SNR-derived packet-error rates (empty: uniform only). */
     std::vector<double> dropData_;
     std::vector<double> dropBulk_;
-    /** Per-transmitter Gilbert–Elliott states, grown on first use;
-     *  untouched (and empty) unless cfg_.burst.enabled. */
+    /** Per-transmitter Gilbert–Elliott states, grown on a lossy
+     *  channel's first drop draw per transmitter; stepped only when
+     *  cfg_.burst.enabled. */
     std::vector<BurstState> burstStates_;
     bool lossEnabled_ = false;
     DataChannelStats stats_;
@@ -393,10 +385,12 @@ class Mac
     /**
      * Broadcast one message, retrying through collisions until it is
      * delivered. @p deliver runs at the delivery instant (total-order
-     * commit point). @p abort, if non-null and returning true when a
-     * slot is won, cancels the transmission (used for RMW atomicity
+     * commit point). @p abort, if set and returning true when a slot
+     * is won, cancels the transmission (used for RMW atomicity
      * failure: the instruction "neither broadcasts its value nor
-     * updates the local BM").
+     * updates the local BM"). Both are borrowed until the returned
+     * task completes: a lambda written in the `co_await send(...)`
+     * full-expression lives exactly that long.
      *
      * Under a lossy channel each corrupted transmission costs an ack
      * timeout plus a bounded exponential backoff before the
@@ -411,9 +405,8 @@ class Mac
      * and costs three events (the slot's arbitration, its delivery and
      * the sender's resumption).
      */
-    coro::Task<SendOutcome> send(bool bulk, sim::UniqueFunction deliver,
-                                 const std::function<bool()> *abort =
-                                     nullptr);
+    coro::Task<SendOutcome> send(bool bulk, sim::FunctionRef<void()> deliver,
+                                 sim::FunctionRef<bool()> abort = {});
 
     sim::NodeId node() const { return node_; }
     std::uint64_t retries() const { return retries_.value(); }
@@ -428,9 +421,9 @@ class Mac
     /**
      * The per-send ack window: transmission @p drops was corrupted,
      * so wait out the ack timeout (plus the bounded exponential
-     * backoff when a retransmission follows; retryAfterDrop in
-     * wireless/burst.hh) and report whether the sender may retry
-     * (false: maxRetries exhausted — give up).
+     * backoff when a retransmission follows;
+     * LinkReliability::retryAfterDrop) and report whether the sender
+     * may retry (false: maxRetries exhausted — give up).
      */
     coro::Task<bool> ackTimeoutRetry(std::uint32_t drops);
 

@@ -21,7 +21,6 @@ using wisync::coro::spawnNow;
 using wisync::coro::Task;
 using wisync::sim::Cycle;
 using wisync::sim::Engine;
-using wisync::sim::UniqueFunction;
 using wisync::wireless::BrsMac;
 using wisync::wireless::DataChannel;
 using wisync::wireless::Mac;
@@ -166,7 +165,7 @@ TEST(DataChannel, AbortedSendNeverDelivers)
     std::function<bool()> abort = [&] { return abort_now; };
     spawnNow(net.engine, [&]() -> Task<void> {
         co_await net.macs[0]->send(false, [&] { delivered = true; },
-                                   &abort);
+                                   abort);
     });
     net.engine.run();
     EXPECT_FALSE(delivered);

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -310,12 +309,12 @@ TEST(MacSendPath, AttemptResumesItsSenderWithTheSlotOutcome)
                        bool abort_it) -> Task<void> {
         if (start > 0)
             co_await delay(net.engine, start);
-        wisync::sim::UniqueFunction deliver = [&, node] {
+        const auto deliver = [&, node] {
             delivered_at[node] = net.engine.now();
         };
-        const std::function<bool()> abort = [abort_it] { return abort_it; };
+        const auto abort = [abort_it] { return abort_it; };
         outcome[node] = co_await DataChannel::Attempt(
-            net.channel, node, false, &deliver, &abort, rng);
+            net.channel, node, false, deliver, abort, rng);
         resumed_at[node] = net.engine.now();
     };
     // Nodes 0 and 1 share the slot at cycle 0 and collide; the channel
