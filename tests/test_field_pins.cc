@@ -101,23 +101,23 @@ configPins()
     fuzzy.wireless.tokenFrameBits = 24;
     return {
         {"baseline16", MachineConfig::make(ConfigKind::Baseline, 16),
-         0x298e5981ead2df3cull},
+         0x368b0ccf634e109dull},
         {"baselineplus64-slownet",
          MachineConfig::make(ConfigKind::BaselinePlus, 64,
                              Variant::SlowNet),
-         0xe0cf71ad2c42d0f7ull},
+         0x8b3d7def02c8a496ull},
         {"wisyncnot64-slownetl2",
          MachineConfig::make(ConfigKind::WiSyncNoT, 64,
                              Variant::SlowNetL2),
-         0xf297195fe01c74e4ull},
+         0x90413304518e3b2dull},
         {"wisync64-slowbmem",
          MachineConfig::make(ConfigKind::WiSync, 64, Variant::SlowBmem),
-         0x621b9ca71e2926edull},
-        {"wisync16-token", token, 0x2da6d355462e2b0bull},
-        {"wisyncnot32-adaptive", adaptive, 0x7b735869ebd6b2dcull},
-        {"wisync16-fuzzytoken", fuzzy, 0x52fe553e12b1a51dull},
+         0x04a8c056c62c476cull},
+        {"wisync16-token", token, 0xea20f3c4000b00faull},
+        {"wisyncnot32-adaptive", adaptive, 0xa1ff5c7017797eadull},
+        {"wisync16-fuzzytoken", fuzzy, 0xc9fa587b1046278cull},
         {"wisync64-4chip-lossy-bursty", lossyBurstyFourChip(),
-         0x90cdbcbca2f4c293ull},
+         0x477d761356204426ull},
     };
 }
 
@@ -220,17 +220,17 @@ recordPoint()
 
 /** CacheStore::encodeRecord(recordPoint(), fullResult()), as hex. */
 constexpr const char *kRecordHex =
-    "0f0400008546747490392ce6477ddbf5ce8c0435896da57b530300007b22636f"
+    "0f04000085467474d80774b2a914e33d919447283e0f9bbf530300007b22636f"
     "6e666967223a7b226b696e64223a22576953796e63222c2276617269616e7422"
     "3a2244656661756c74222c22636f726573223a36342c226368697073223a342c"
     "2269737375655769647468223a322c2273656564223a313030392c2277697265"
-    "6c657373223a7b226c6f7373506374223a352c2262657246726f6d536e72223a"
-    "747275652c227478506f77657244626d223a372e352c2261636b54696d656f75"
-    "744379636c6573223a362c226d617852657472696573223a352c227265747279"
-    "4261636b6f66664d6178457870223a342c226275727374223a7b22656e61626c"
-    "6564223a747275652c22676f6f644c6f7373506374223a302e352c226261644c"
-    "6f7373506374223a38302c2270476f6f64546f426164223a302e30322c227042"
-    "6164546f476f6f64223a302e32357d2c226368616e6e656c4c6f737342617365"
+    "6c657373223a7b226c6f7373506374223a352c226275727374223a7b22656e61"
+    "626c6564223a747275652c22676f6f644c6f7373506374223a302e352c226261"
+    "644c6f7373506374223a38302c2270476f6f64546f426164223a302e30322c22"
+    "70426164546f476f6f64223a302e32357d2c2261636b54696d656f7574437963"
+    "6c6573223a362c226d617852657472696573223a352c2272657472794261636b"
+    "6f66664d6178457870223a342c2262657246726f6d536e72223a747275652c22"
+    "7478506f77657244626d223a372e352c226368616e6e656c4c6f737342617365"
     "4462223a312e352c226368616e6e656c4c6f7373537465704462223a302e3735"
     "2c22737065637472756d536c6f7473223a322c226d6163223a22425253222c22"
     "6d61784261636b6f6666457870223a31302c22746f6b656e506173734379636c"
