@@ -6,6 +6,8 @@
 #include <new>
 #include <utility>
 
+#include "sim/logging.hh"
+
 namespace wisync::sim {
 
 namespace {
@@ -182,7 +184,8 @@ Engine::reset()
 void
 Engine::scheduleReserved(Cycle when, std::uint64_t seq, EventFn fn)
 {
-    assert(when >= now_ && "cannot schedule a reserved event in the past");
+    WISYNC_ASSERT(when >= now_,
+                  "cannot schedule a reserved event in the past");
     Slot s{std::move(fn), seq};
     if (when > now_) {
         // A later cycle: normal placement. A level-0 bucket may now be
@@ -199,8 +202,8 @@ Engine::scheduleReserved(Cycle when, std::uint64_t seq, EventFn fn)
     // staged bucket. Ready-ring events all carry seqs assigned this
     // cycle — necessarily above any reserved-at-an-earlier-cycle seq —
     // so this situation can only arise mid-stage.
-    assert(curBucket_ != nullptr && seq > currentSeq_ &&
-           "same-cycle reserved event outside the staged drain");
+    WISYNC_ASSERT(curBucket_ != nullptr && seq > currentSeq_,
+                  "same-cycle reserved event outside the staged drain");
     auto it = curBucket_->begin() +
               static_cast<std::ptrdiff_t>(curIdx_);
     while (it != curBucket_->end() && it->seq < seq)

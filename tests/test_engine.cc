@@ -3,12 +3,14 @@
  * Unit tests for the discrete-event engine, including the three-tier
  * scheduler's edge cases: run(limit) parking across wheel-level
  * boundaries, stop() mid-cycle with same-cycle events pending, and the
- * coroutine resume fast path.
+ * coroutine resume fast path, and the reserved-event checks that hold
+ * in every build type.
  */
 
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <cstdint>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -296,6 +298,19 @@ TEST(Engine, ResumeHandleDrivesCoroutineThroughTiers)
     EXPECT_TRUE(eng.run());
     EXPECT_EQ(log, (std::vector<Cycle>{5, 5, 305}));
     EXPECT_EQ(eng.eventsExecuted(), 3u);
+}
+
+TEST(EngineDeathTest, ReservedEventInThePastPanics)
+{
+    // Filing a reserved event behind the clock would corrupt the
+    // timing wheel, so every build type stops at the check.
+    Engine eng;
+    eng.schedule(10, [] {});
+    ASSERT_TRUE(eng.run());
+    ASSERT_EQ(eng.now(), 10u);
+    const std::uint64_t seq = eng.reserveSeq();
+    EXPECT_DEATH(eng.scheduleReserved(5, seq, [] {}),
+                 "assertion failed: when >= now_");
 }
 
 } // namespace
