@@ -104,6 +104,21 @@ validate(const MachineConfig &cfg)
     return std::nullopt;
 }
 
+namespace {
+
+/** " <key>=g…%/b…%,pgb=…,pbg=…": an enabled Gilbert–Elliott chain. */
+std::string
+burstLabel(const char *key, const wireless::BurstParams &burst)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), " %s=g%g%%/b%g%%,pgb=%g,pbg=%g", key,
+                  burst.goodLossPct, burst.badLossPct, burst.pGoodToBad,
+                  burst.pBadToGood);
+    return buf;
+}
+
+} // namespace
+
 std::string
 MachineConfig::describe() const
 {
@@ -130,15 +145,8 @@ MachineConfig::describe() const
                 static_cast<unsigned long long>(bridge.ackTimeoutCycles),
                 bridge.maxRetries, bridge.retryBackoffMaxExp);
             out += buf;
-            if (bridge.burst.enabled) {
-                std::snprintf(buf, sizeof(buf),
-                              " bburst=g%g%%/b%g%%,pgb=%g,pbg=%g",
-                              bridge.burst.goodLossPct,
-                              bridge.burst.badLossPct,
-                              bridge.burst.pGoodToBad,
-                              bridge.burst.pBadToGood);
-                out += buf;
-            }
+            if (bridge.burst.enabled)
+                out += burstLabel("bburst", bridge.burst);
         }
     }
     out += " variant=";
@@ -166,15 +174,8 @@ MachineConfig::describe() const
     }
     // Burst and per-channel-profile knobs, likewise only off their
     // defaults (the i.i.d./flat-spectrum labels are unchanged).
-    if (wireless.burst.enabled) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      " burst=g%g%%/b%g%%,pgb=%g,pbg=%g",
-                      wireless.burst.goodLossPct,
-                      wireless.burst.badLossPct, wireless.burst.pGoodToBad,
-                      wireless.burst.pBadToGood);
-        out += buf;
-    }
+    if (wireless.burst.enabled)
+        out += burstLabel("burst", wireless.burst);
     if (wireless.channelLossBaseDb != 0.0 ||
         wireless.channelLossStepDb != 0.0) {
         char buf[64];
