@@ -111,6 +111,11 @@ def main():
         if r < minimum:
             failures.append(f"FAIL {line}")
 
+    def gate(cond, line):
+        checks.append(line)
+        if not cond:
+            failures.append(f"FAIL {line}")
+
     def counter_gate(name, counter, op, bound, why):
         b = need(name)
         if b is None:
@@ -202,139 +207,124 @@ def main():
             failures.append(f"missing 'mac_ablation' record in "
                             f"{sweep_path}")
         else:
-            def mac_gate(cond, line):
-                checks.append(line)
-                if not cond:
-                    failures.append(f"FAIL {line}")
-
-            mac_gate(mac.get("results_identical", False),
-                     "mac_ablation results_identical — protocol grid "
-                     "must merge identically at any thread count")
-            mac_gate(mac.get("all_completed", False),
-                     "mac_ablation all_completed — no protocol may "
-                     "livelock a workload")
-            mac_gate(mac.get("token_collisions", -1) == 0,
-                     f"mac_ablation token_collisions = "
-                     f"{mac.get('token_collisions')} (gate: == 0) — "
-                     "exclusive token grants cannot collide")
-            mac_gate(mac.get("token_rotations", 0) >= 1,
-                     f"mac_ablation token_rotations = "
-                     f"{mac.get('token_rotations')} (gate: >= 1) — "
-                     "the token must actually rotate")
-            mac_gate(mac.get("adaptive_mode_switches", 0) >= 1,
-                     f"mac_ablation adaptive_mode_switches = "
-                     f"{mac.get('adaptive_mode_switches')} (gate: >= 1) "
-                     "— the traffic-aware controller must engage")
-            mac_gate(mac.get("loss0_identical", False),
-                     "mac_ablation loss0_identical — the reliability "
-                     "layer at lossPct=0 may not move a simulated "
-                     "cycle")
-            mac_gate(mac.get("all_delivered_or_reported", False),
-                     "mac_ablation all_delivered_or_reported — lossy "
-                     "kernels must terminate with every drop "
-                     "retransmitted or reported as a give-up")
-            mac_gate(mac.get("lossy_drops", 0) >= 1,
-                     f"mac_ablation lossy_drops = "
-                     f"{mac.get('lossy_drops')} (gate: >= 1) — the "
-                     "loss model must actually drop packets")
-            mac_gate(mac.get("burst_identity_off", False),
-                     "mac_ablation burst_identity_off — a disabled "
-                     "Gilbert–Elliott chain may not move a simulated "
-                     "cycle")
-            mac_gate(mac.get("bursty_drops", 0) >= 1,
-                     f"mac_ablation bursty_drops = "
-                     f"{mac.get('bursty_drops')} (gate: >= 1) — the "
-                     "burst chain must actually drop packets")
-            mac_gate(mac.get("burst_vs_iid_differs", False),
-                     "mac_ablation burst_vs_iid_differs — equal-mean "
-                     "bursty loss must be distinguishable from i.i.d. "
-                     "loss")
+            gate(mac.get("results_identical", False),
+                 "mac_ablation results_identical — protocol grid "
+                 "must merge identically at any thread count")
+            gate(mac.get("all_completed", False),
+                 "mac_ablation all_completed — no protocol may "
+                 "livelock a workload")
+            gate(mac.get("token_collisions", -1) == 0,
+                 f"mac_ablation token_collisions = "
+                 f"{mac.get('token_collisions')} (gate: == 0) — "
+                 "exclusive token grants cannot collide")
+            gate(mac.get("token_rotations", 0) >= 1,
+                 f"mac_ablation token_rotations = "
+                 f"{mac.get('token_rotations')} (gate: >= 1) — "
+                 "the token must actually rotate")
+            gate(mac.get("adaptive_mode_switches", 0) >= 1,
+                 f"mac_ablation adaptive_mode_switches = "
+                 f"{mac.get('adaptive_mode_switches')} (gate: >= 1) "
+                 "— the traffic-aware controller must engage")
+            gate(mac.get("loss0_identical", False),
+                 "mac_ablation loss0_identical — the reliability "
+                 "layer at lossPct=0 may not move a simulated "
+                 "cycle")
+            gate(mac.get("all_delivered_or_reported", False),
+                 "mac_ablation all_delivered_or_reported — lossy "
+                 "kernels must terminate with every drop "
+                 "retransmitted or reported as a give-up")
+            gate(mac.get("lossy_drops", 0) >= 1,
+                 f"mac_ablation lossy_drops = "
+                 f"{mac.get('lossy_drops')} (gate: >= 1) — the "
+                 "loss model must actually drop packets")
+            gate(mac.get("burst_identity_off", False),
+                 "mac_ablation burst_identity_off — a disabled "
+                 "Gilbert–Elliott chain may not move a simulated "
+                 "cycle")
+            gate(mac.get("bursty_drops", 0) >= 1,
+                 f"mac_ablation bursty_drops = "
+                 f"{mac.get('bursty_drops')} (gate: >= 1) — the "
+                 "burst chain must actually drop packets")
+            gate(mac.get("burst_vs_iid_differs", False),
+                 "mac_ablation burst_vs_iid_differs — equal-mean "
+                 "bursty loss must be distinguishable from i.i.d. "
+                 "loss")
 
         mc = sweep.get("multichip")
         if mc is None:
             failures.append(f"missing 'multichip' record in "
                             f"{sweep_path}")
         else:
-            def mc_gate(cond, line):
-                checks.append(line)
-                if not cond:
-                    failures.append(f"FAIL {line}")
-
-            mc_gate(mc.get("results_identical", False),
-                    "multichip results_identical — the chip grid must "
-                    "merge identically at any thread count")
-            mc_gate(mc.get("all_completed", False),
-                    "multichip all_completed — no tiling may deadlock "
-                    "a workload across the bridge")
-            mc_gate(mc.get("total_cores_max", 0) >= 256,
-                    f"multichip total_cores_max = "
-                    f"{mc.get('total_cores_max')} (gate: >= 256) — the "
-                    "scale-out grid must reach kilocore territory")
+            gate(mc.get("results_identical", False),
+                 "multichip results_identical — the chip grid must "
+                 "merge identically at any thread count")
+            gate(mc.get("all_completed", False),
+                 "multichip all_completed — no tiling may deadlock "
+                 "a workload across the bridge")
+            gate(mc.get("total_cores_max", 0) >= 256,
+                 f"multichip total_cores_max = "
+                 f"{mc.get('total_cores_max')} (gate: >= 256) — the "
+                 "scale-out grid must reach kilocore territory")
             intra = mc.get("intra_cycles_per_barrier", 0.0)
             inter = mc.get("inter_cycles_per_barrier", 0.0)
-            mc_gate(inter > intra > 0,
-                    f"multichip sync cost: inter = {inter} > intra = "
-                    f"{intra} cycles/barrier — the bridge latency must "
-                    "be visible in cross-chip synchronization")
-            mc_gate(mc.get("bridge_frames", 0) >= 1,
-                    f"multichip bridge_frames = "
-                    f"{mc.get('bridge_frames')} (gate: >= 1) — global "
-                    "BM traffic must actually cross the bridge")
-            mc_gate(mc.get("bridge_retries", 0) >= 1,
-                    f"multichip bridge_retries = "
-                    f"{mc.get('bridge_retries')} (gate: >= 1) — the "
-                    "lossy bridge's retry machinery must engage")
-            mc_gate(mc.get("bridge_books_balance", False),
-                    "multichip bridge_books_balance — every bridge "
-                    "drop must be answered by exactly one timeout and "
-                    "a retransmission or give-up")
-            mc_gate(mc.get("bridge_loss_identity", False),
-                    "multichip bridge_loss_identity — reliability "
-                    "knobs on a loss-free bridge may not move a "
-                    "simulated cycle")
-            mc_gate(mc.get("channel_profile_differs", False),
-                    "multichip channel_profile_differs — a per-slot "
-                    "loss profile step must visibly shift the run")
+            gate(inter > intra > 0,
+                 f"multichip sync cost: inter = {inter} > intra = "
+                 f"{intra} cycles/barrier — the bridge latency must "
+                 "be visible in cross-chip synchronization")
+            gate(mc.get("bridge_frames", 0) >= 1,
+                 f"multichip bridge_frames = "
+                 f"{mc.get('bridge_frames')} (gate: >= 1) — global "
+                 "BM traffic must actually cross the bridge")
+            gate(mc.get("bridge_retries", 0) >= 1,
+                 f"multichip bridge_retries = "
+                 f"{mc.get('bridge_retries')} (gate: >= 1) — the "
+                 "lossy bridge's retry machinery must engage")
+            gate(mc.get("bridge_books_balance", False),
+                 "multichip bridge_books_balance — every bridge "
+                 "drop must be answered by exactly one timeout and "
+                 "a retransmission or give-up")
+            gate(mc.get("bridge_loss_identity", False),
+                 "multichip bridge_loss_identity — reliability "
+                 "knobs on a loss-free bridge may not move a "
+                 "simulated cycle")
+            gate(mc.get("channel_profile_differs", False),
+                 "multichip channel_profile_differs — a per-slot "
+                 "loss profile step must visibly shift the run")
 
         svc = sweep.get("service")
         if svc is None:
             failures.append(f"missing 'service' record in "
                             f"{sweep_path}")
         else:
-            def svc_gate(cond, line):
-                checks.append(line)
-                if not cond:
-                    failures.append(f"FAIL {line}")
-
-            svc_gate(svc.get("service_identity", False),
-                     "service service_identity — cold, warm and "
-                     "sharded batches must be bit-identical to a "
-                     "serial uncached run")
-            svc_gate(svc.get("cache_hits", 0) >=
-                     svc.get("duplicates", 1),
-                     f"service cache_hits = {svc.get('cache_hits')} "
-                     f"(gate: >= duplicates = "
-                     f"{svc.get('duplicates')}) — every duplicate "
-                     "must be answered by the result cache")
-            svc_gate(svc.get("warm_simulated", -1) == 0,
-                     f"service warm_simulated = "
-                     f"{svc.get('warm_simulated')} (gate: == 0) — a "
-                     "warm batch may not simulate anything")
+            gate(svc.get("service_identity", False),
+                 "service service_identity — cold, warm and "
+                 "sharded batches must be bit-identical to a "
+                 "serial uncached run")
+            gate(svc.get("cache_hits", 0) >=
+                 svc.get("duplicates", 1),
+                 f"service cache_hits = {svc.get('cache_hits')} "
+                 f"(gate: >= duplicates = "
+                 f"{svc.get('duplicates')}) — every duplicate "
+                 "must be answered by the result cache")
+            gate(svc.get("warm_simulated", -1) == 0,
+                 f"service warm_simulated = "
+                 f"{svc.get('warm_simulated')} (gate: == 0) — a "
+                 "warm batch may not simulate anything")
             speedup = svc.get("warm_speedup", 0.0)
-            svc_gate(speedup >= 2.0,
-                     f"service warm_speedup = {speedup} (gate: >= "
-                     "2.0) — answering from the cache must clearly "
-                     "beat re-simulating")
-            svc_gate(svc.get("warm_from_disk_identical", False),
-                     "service warm_from_disk_identical — a cache "
-                     "spilled to disk and reloaded into a fresh "
-                     "service must answer the batch without "
-                     "simulating, bit-identical to the reference")
-            svc_gate(svc.get("salvaged_prefix_hits", 0) >= 1,
-                     f"service salvaged_prefix_hits = "
-                     f"{svc.get('salvaged_prefix_hits')} (gate: >= 1) "
-                     "— a truncated cache file must salvage its valid "
-                     "prefix and serve those points warm")
+            gate(speedup >= 2.0,
+                 f"service warm_speedup = {speedup} (gate: >= "
+                 "2.0) — answering from the cache must clearly "
+                 "beat re-simulating")
+            gate(svc.get("warm_from_disk_identical", False),
+                 "service warm_from_disk_identical — a cache "
+                 "spilled to disk and reloaded into a fresh "
+                 "service must answer the batch without "
+                 "simulating, bit-identical to the reference")
+            gate(svc.get("salvaged_prefix_hits", 0) >= 1,
+                 f"service salvaged_prefix_hits = "
+                 f"{svc.get('salvaged_prefix_hits')} (gate: >= 1) "
+                 "— a truncated cache file must salvage its valid "
+                 "prefix and serve those points warm")
 
     for line in checks:
         print(" ", line)
