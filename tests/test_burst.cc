@@ -4,8 +4,10 @@
  * loss profiles and the lossy retrying ChipBridge.
  *
  * Five layers:
- *  - BurstParams/BurstState math: stationary bad fraction, equal-mean
- *    parametrization, one-draw-per-step determinism;
+ *  - BurstParams/BurstState/LinkReliability math: stationary bad
+ *    fraction, equal-mean parametrization, one-draw-per-step
+ *    determinism, the i.i.d. and burst drop-rate steps and the
+ *    bounded-retry rule both lossy links share;
  *  - channel-level burst semantics on the bare engine + channel
  *    harness (the deterministic alternating chain, SNR-table
  *    composition, reset clearing, the ack/retry invariant under
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -62,9 +65,11 @@ using wisync::wireless::BurstParams;
 using wisync::wireless::BurstState;
 using wisync::wireless::DataChannel;
 using wisync::wireless::FrequencyPlan;
+using wisync::wireless::LinkReliability;
 using wisync::wireless::Mac;
 using wisync::wireless::MacKind;
 using wisync::wireless::MacProtocol;
+using wisync::wireless::RetryStep;
 using wisync::wireless::SendOutcome;
 using wisync::wireless::WirelessConfig;
 using wisync::workloads::KernelResult;
@@ -200,6 +205,77 @@ TEST(BurstState, SojournTimesMatchTheParametrization)
             ++bad_steps;
     const double frac = static_cast<double>(bad_steps) / kSteps;
     EXPECT_NEAR(frac, 0.2, 0.01);
+}
+
+TEST(LinkReliability, IdealLinkDrawsNothing)
+{
+    const LinkReliability link;
+    EXPECT_FALSE(link.lossy());
+    Rng rng(11);
+    Rng copy = rng;
+    BurstState state;
+    EXPECT_EQ(link.dropRate(state, rng), 0.0);
+    EXPECT_EQ(rng.next(), copy.next());
+}
+
+TEST(LinkReliability, IidStepReturnsTheRateWithoutADraw)
+{
+    LinkReliability link;
+    link.lossPct = 25.0;
+    EXPECT_TRUE(link.lossy());
+    Rng rng(11);
+    Rng copy = rng;
+    BurstState state;
+    for (int i = 0; i < 4; ++i)
+        EXPECT_DOUBLE_EQ(link.dropRate(state, rng), 0.25);
+    EXPECT_EQ(rng.next(), copy.next());
+    EXPECT_FALSE(state.bad());
+}
+
+TEST(LinkReliability, BurstStepTakesExactlyOneDraw)
+{
+    // The chain replaces lossPct: the rate is the state's, and each
+    // step consumes one draw, exactly as BurstState::step does.
+    LinkReliability link;
+    link.lossPct = 25.0;
+    link.burst = BurstParams::fromMean(20.0, 4.0);
+    Rng rng(7);
+    Rng ref(7);
+    BurstState state;
+    BurstState refState;
+    for (int i = 0; i < 100; ++i)
+        EXPECT_DOUBLE_EQ(link.dropRate(state, rng),
+                         refState.step(link.burst, ref))
+            << "step " << i;
+    EXPECT_EQ(rng.next(), ref.next());
+}
+
+TEST(LinkReliability, RetryAfterDropBacksOffThenGivesUp)
+{
+    LinkReliability link;
+    link.ackTimeoutCycles = 9;
+    link.maxRetries = 5;
+    link.retryBackoffMaxExp = 3;
+    // Retransmit after the ack window plus 2^min(d, exp) cycles.
+    const Cycle waits[] = {9 + 2, 9 + 4, 9 + 8, 9 + 8, 9 + 8};
+    for (std::uint32_t d = 1; d <= link.maxRetries; ++d) {
+        const RetryStep step = link.retryAfterDrop(d);
+        EXPECT_TRUE(step.retry) << "drop " << d;
+        EXPECT_EQ(step.wait, waits[d - 1]) << "drop " << d;
+    }
+    // Past the budget: give up after the bare ack window.
+    const RetryStep last = link.retryAfterDrop(link.maxRetries + 1);
+    EXPECT_FALSE(last.retry);
+    EXPECT_EQ(last.wait, 9u);
+
+    // No retry budget: the first drop gives up.
+    link.maxRetries = 0;
+    EXPECT_FALSE(link.retryAfterDrop(1).retry);
+    // The exponent cap reaches 2^32 without overflowing a cycle count.
+    link.maxRetries = 64;
+    link.retryBackoffMaxExp = 32;
+    link.ackTimeoutCycles = Cycle{1} << 32;
+    EXPECT_EQ(link.retryAfterDrop(40).wait, Cycle{1} << 33);
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <map>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/machine.hh"
@@ -36,6 +37,7 @@ using wisync::service::DaemonOptions;
 using wisync::service::DeadlineExceeded;
 using wisync::service::ParseError;
 using wisync::service::WorkloadSpec;
+using wisync::wireless::LinkReliability;
 namespace sim = wisync::sim;
 
 // ---- the one validator --------------------------------------------
@@ -112,6 +114,76 @@ TEST(ConfigValidate, TightLoopArrayElemsHasADeclaredRange)
     } catch (const ParseError &e) {
         EXPECT_EQ(e.field(), "points[0].workload.arrayElems") << e.what();
     }
+}
+
+/** A 2-chip request whose config carries @p link under @p key. */
+std::string
+linkRequest(const std::string &key, const std::string &link)
+{
+    return R"({"points":[{"config":{"kind":"WiSync","cores":16,"chips":2,")" +
+           key + R"(":)" + link +
+           R"(},"workload":{"kind":"tightloop","iterations":2}}]})";
+}
+
+/** The ParseError field of @p request, or "" if it parses. */
+std::string
+rejectedField(const std::string &request)
+{
+    try {
+        (void)ConfigCodec::parseRequest(request);
+    } catch (const ParseError &e) {
+        return e.field();
+    }
+    return "";
+}
+
+TEST(ConfigValidate, LinkReliabilityKeysParseUnderBothLinks)
+{
+    const std::string knobs =
+        R"({"lossPct":2.5,"burst":{"enabled":true,"pGoodToBad":0.125},)"
+        R"("ackTimeoutCycles":11,"maxRetries":3,"retryBackoffMaxExp":5})";
+    for (const std::string key : {"wireless", "bridge"}) {
+        const MachineConfig cfg =
+            ConfigCodec::parseRequest(linkRequest(key, knobs))
+                .points.at(0)
+                .config;
+        const LinkReliability *link = &cfg.bridge;
+        if (key == "wireless")
+            link = &cfg.wireless;
+        EXPECT_EQ(link->lossPct, 2.5) << key;
+        EXPECT_TRUE(link->burst.enabled) << key;
+        EXPECT_EQ(link->burst.pGoodToBad, 0.125) << key;
+        EXPECT_EQ(link->ackTimeoutCycles, 11u) << key;
+        EXPECT_EQ(link->maxRetries, 3u) << key;
+        EXPECT_EQ(link->retryBackoffMaxExp, 5u) << key;
+
+        // Out of range: the error names the full path of the knob.
+        const std::pair<const char *, const char *> bad[] = {
+            {"lossPct", R"({"lossPct":100.5})"},
+            {"burst.pGoodToBad", R"({"burst":{"pGoodToBad":2}})"},
+            {"ackTimeoutCycles", R"({"ackTimeoutCycles":4294967297})"},
+            {"maxRetries", R"({"maxRetries":4294967296})"},
+            {"retryBackoffMaxExp", R"({"retryBackoffMaxExp":33})"},
+        };
+        for (const auto &[field, link_json] : bad)
+            EXPECT_EQ(rejectedField(linkRequest(key, link_json)),
+                      "points[0].config." + key + "." + field);
+    }
+}
+
+TEST(ConfigValidate, WirelessAckTimeoutTakesTheBridgeRange)
+{
+    // Both links declare [0, 2^32] once; the wireless knob used to end
+    // at 2^32 - 1, so no input that validated before is rejected.
+    const MachineConfig cfg =
+        ConfigCodec::parseRequest(
+            linkRequest("wireless", R"({"ackTimeoutCycles":4294967296})"))
+            .points.at(0)
+            .config;
+    EXPECT_EQ(cfg.wireless.ackTimeoutCycles, std::uint64_t{1} << 32);
+    EXPECT_EQ(rejectedField(linkRequest(
+                  "wireless", R"({"ackTimeoutCycles":4294967297})")),
+              "points[0].config.wireless.ackTimeoutCycles");
 }
 
 // ---- the daemon survives every reported crash line -----------------
