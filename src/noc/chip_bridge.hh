@@ -21,9 +21,9 @@
  * chain over the shared medium (or an i.i.d. lossPct), stepped once
  * per serialization from the bridge's own forked RNG stream. A dropped
  * frame costs its serialization cycles plus an ack window, then
- * retransmits with bounded exponential spacing. After maxRetries the bridge
- * gives up AND immediately re-issues the frame with a fresh retry
- * budget: a global BM update is never silently lost (the version
+ * retransmits with bounded exponential spacing. After maxRetries the
+ * bridge gives up AND immediately re-issues the frame with a fresh
+ * retry budget: a global BM update is never silently lost (the version
  * clocks make an arbitrarily late arrival safe — stale cross-chip
  * RMWs still abort via AFB). The ideal link (the default) draws
  * nothing and is byte-identical to the pre-loss bridge.
